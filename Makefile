@@ -126,11 +126,15 @@ tourney-smoke:
 # cmd/explain into just the explain data and gated against the
 # committed rolling baseline — "exit status 3" here means an episode's
 # counterfactual attribution or a cell's minimal-set cross-check
-# changed, written to explain-smoke-diff.txt.
+# changed, written to explain-smoke-diff.txt. The second run repeats the
+# sweep on one worker and cmp asserts the artifact is byte-identical:
+# episode replay must not depend on the worker count.
 explain-smoke:
 	$(GO) run ./cmd/bisect -preset smoke -explain -q -out explain-bisect.json
 	$(GO) run ./cmd/explain -in explain-bisect.json -q -out explain-smoke.json \
 		-baseline baselines/explain-smoke.json -diff-out explain-smoke-diff.txt
+	$(GO) run ./cmd/bisect -preset smoke -explain -q -workers 1 -out explain-bisect-w1.json
+	cmp explain-bisect.json explain-bisect-w1.json
 
 # The CI distributed-campaign gate: coordinator + two local workers
 # under the race detector, with injected faults (worker killed

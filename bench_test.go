@@ -228,6 +228,38 @@ func BenchmarkCampaignBisectFork(b *testing.B) {
 	}
 }
 
+// BenchmarkCampaignExplain measures counterfactual explain on the bisect
+// smoke sweep: every confirmed episode and wakeup streak is forked and
+// replayed under a control and each single lattice fix. replays/s counts
+// the control and fix replays the reports carry, simulated or proven
+// equal to the control. Like BenchmarkCampaignBisectFork it reports no
+// events/op: replay worlds are forks, so the allocation-per-event gate
+// stays on the sequential obs-off runs.
+func BenchmarkCampaignExplain(b *testing.B) {
+	o := bisect.SmokeOptions()
+	o.BaseSeed = 42
+	o.Explain = true
+	var scenarios, replays int
+	for i := 0; i < b.N; i++ {
+		r, err := bisect.Run(o)
+		if err != nil {
+			b.Fatal(err)
+		}
+		scenarios = len(r.Campaign.Results)
+		replays = 0
+		for _, res := range r.Campaign.Results {
+			if res.Explain == nil {
+				continue
+			}
+			for _, ep := range res.Explain.Episodes {
+				replays += 1 + len(ep.Fixes)
+			}
+		}
+	}
+	b.ReportMetric(float64(scenarios*b.N)/b.Elapsed().Seconds(), "scenarios/s")
+	b.ReportMetric(float64(replays*b.N)/b.Elapsed().Seconds(), "replays/s")
+}
+
 // BenchmarkCheckerOverhead measures the sanity checker's cost (§4.1: the
 // paper reports < 0.5% with 10,000 threads): simulation events consumed
 // per virtual second with and without the checker.

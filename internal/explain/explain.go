@@ -4,19 +4,26 @@
 // a core sat idle while another queued threads, and the §4.2 visualizer
 // shows the decisions around it — but neither says which decision caused
 // the episode or which fix would have removed it. This package closes the
-// loop with counterfactual replay on top of the checkpoint/fork engine
-// (PR 7): when the checker opens a monitoring window, the whole world is
-// forked at the detection instant; if the window confirms, the window is
-// replayed once per single fix of the paper's lattice (gi, gc, oow, md)
-// plus an unmodified control, and the per-episode report records which
-// fixes erase the episode, how much wasted core time and p99 wakeup
-// latency each saves, and — via the decision-provenance rings recorded by
-// internal/sched — the first scheduling decision where the fixed world
-// diverged from the control.
+// loop with counterfactual replay on top of the checkpoint/fork engine:
+// when the checker opens a monitoring window, the whole world is forked
+// at the detection instant; if the window confirms, the window is
+// replayed under an unmodified control and then under each single fix of
+// the paper's lattice (gi, gc, oow, md), and the per-episode report
+// records which fixes erase the episode, how much wasted core time and
+// p99 wakeup latency each saves, and — via the decision-provenance rings
+// recorded by internal/sched — the first scheduling decision where the
+// fixed world diverged from the control.
+//
+// A fix replay that provably repeats the control is not simulated: when
+// the fix is already on in the scenario's own features, or when it is a
+// construction fix (gc, md) whose divergence probe stayed silent through
+// the control replay, the fix's report is the control's, with no deltas
+// and no divergence. Every replay of a scenario records into one reused
+// provenance ring.
 //
 // Replays are driverless: a Machine.Fork carries every machine-owned
 // event (compute timers, ticks, sleeps) but none of the workload driver's
-// future arrivals, so all five replays of an episode face *identical*
+// future arrivals, so every replay of an episode faces *identical*
 // conditions — the comparison isolates the scheduler change. Everything
 // runs in virtual time on forked engines, so reports are deterministic:
 // byte-identical across worker counts and scenario order.
@@ -62,7 +69,7 @@ type Config struct {
 }
 
 // DefaultMaxEpisodes bounds per-scenario replay cost: each episode is
-// 5 forks plus 5 window replays.
+// at most 5 forks plus 5 window replays.
 const DefaultMaxEpisodes = 8
 
 func (c Config) withDefaults() Config {
@@ -226,6 +233,12 @@ type Observer struct {
 	base sched.Features
 	prov *obs.ProvRing
 
+	// Replay scratch shared by every replay of the scenario: one ring,
+	// allocated on the first replay and Reset before each, and the
+	// record buffers a fix replay is compared through.
+	ring                 *obs.ProvRing
+	controlRecs, fixRecs []obs.ProvRecord
+
 	pend   *pending
 	report ScenarioExplain
 }
@@ -244,25 +257,8 @@ func NewObserver(m *machine.Machine, cfg Config) *Observer {
 	return o
 }
 
-// Prov returns the scenario's main provenance ring.
-func (o *Observer) Prov() *obs.ProvRing { return o.prov }
-
-// fork deep-copies the current world, absorbing the panic Machine.Fork
-// raises for worlds it cannot clone (queued Task.OnDone hooks, attached
-// placement policies): those scenarios simply report ForkUnavailable
-// instead of episodes.
-func (o *Observer) fork() (m2 *machine.Machine) {
-	defer func() {
-		if recover() != nil {
-			m2 = nil
-		}
-	}()
-	return o.m.Fork()
-}
-
 func (o *Observer) capped() bool {
-	return len(o.report.Episodes)+o.report.SkippedEpisodes >= o.cfg.MaxEpisodes &&
-		o.cfg.MaxEpisodes > 0
+	return len(o.report.Episodes)+o.report.SkippedEpisodes >= o.cfg.MaxEpisodes
 }
 
 // OnCandidate implements checker.EpisodeHook: fork the world at the
@@ -274,7 +270,7 @@ func (o *Observer) OnCandidate(detectedAt, onsetAt sim.Time, idle, busy topology
 	if o.capped() {
 		return // counted at confirmation, if it confirms
 	}
-	w := o.fork()
+	w := forkWorld(o.m)
 	if w == nil {
 		return // counted at confirmation
 	}
@@ -328,7 +324,7 @@ func (o *Observer) OnStreak(start, at sim.Time) {
 			o.report.SkippedEpisodes++
 			return
 		}
-		w := o.fork()
+		w := forkWorld(o.m)
 		if w == nil {
 			o.report.ForkUnavailable++
 			return
@@ -379,7 +375,8 @@ func persistStreak(_ bool, col *latency.Collector) bool { return col.StreakCount
 
 // replayEpisode runs the window once per world: control (the scenario's
 // own features) first, then each single fix merged onto them, in
-// canonical lattice order.
+// canonical lattice order — skipping the fix replays that replaysControl
+// proves would repeat the control.
 func (o *Observer) replayEpisode(spec episodeSpec) Episode {
 	window := o.cfg.Checker.M
 	ep := Episode{
@@ -393,38 +390,86 @@ func (o *Observer) replayEpisode(spec episodeSpec) Episode {
 		WindowNs:    int64(window),
 	}
 
-	control, controlRecs := o.runReplay(spec, o.base)
+	// The control watches the construction fixes the scenario leaves
+	// off; replaysControl reads what fired.
+	probe := &sched.DivergenceProbe{Armed: sched.Features{
+		FixGroupConstruction: !o.base.FixGroupConstruction,
+		FixMissingDomains:    !o.base.FixMissingDomains,
+	}}
+	control := o.runReplay(spec, o.base, probe)
+	o.controlRecs = o.ring.Records(o.controlRecs[:0])
 	ep.Control = control
 
 	for i, name := range policy.LatticeFixNames() {
 		feats := mergeFeatures(o.base, policy.LatticeFeatures(1<<i))
-		rep, recs := o.runReplay(spec, feats)
+		if replaysControl(o.base, feats, probe.Fired) {
+			if skipHook != nil {
+				skipHook(o, spec, feats, control)
+			}
+			ep.Fixes = append(ep.Fixes, FixReplay{Fix: name, Replay: control})
+			continue
+		}
+		rep := o.runReplay(spec, feats, nil)
+		o.fixRecs = o.ring.Records(o.fixRecs[:0])
 		fr := FixReplay{
-			Fix:            name,
-			Replay:         rep,
-			Erases:         control.Persisted && !rep.Persisted,
-			WastedDeltaNs:  rep.WastedNs - control.WastedNs,
-			P99WakeDeltaNs: rep.P99WakeNs - control.P99WakeNs,
+			Fix:             name,
+			Replay:          rep,
+			Erases:          control.Persisted && !rep.Persisted,
+			WastedDeltaNs:   rep.WastedNs - control.WastedNs,
+			P99WakeDeltaNs:  rep.P99WakeNs - control.P99WakeNs,
+			FirstDivergence: firstDivergence(o.controlRecs, o.fixRecs),
 		}
 		if fr.Erases {
 			ep.Attribution = append(ep.Attribution, name)
 		}
-		fr.FirstDivergence = firstDivergence(controlRecs, recs)
 		ep.Fixes = append(ep.Fixes, fr)
 	}
 	return ep
 }
 
+// skipHook, when set, receives every fix replay replayEpisode skips,
+// right after the control replay, so tests can re-run it in full.
+var skipHook func(o *Observer, spec episodeSpec, feats sched.Features, control Replay)
+
+// replaysControl reports whether a replay under feats provably repeats
+// the control replay under base, given the construction flags the
+// control's divergence probe fired. Either the fix is already on, so
+// feats is base; or it is a construction fix (gc, md) that never fired.
+// Those two flags are read only when domains are built, and the probe
+// compares the hierarchy they would build at attach and after every
+// rebuild, so a silent probe means the same decisions and the same
+// provenance. The group-imbalance and overload-wakeup fixes are never
+// skipped: even with an unchanged trajectory their provenance differs
+// (balance records carry the gi-dependent group metric, wakeup records
+// the placement path).
+func replaysControl(base, feats, fired sched.Features) bool {
+	if !fired.FixGroupConstruction {
+		feats.FixGroupConstruction = base.FixGroupConstruction
+	}
+	if !fired.FixMissingDomains {
+		feats.FixMissingDomains = base.FixMissingDomains
+	}
+	return feats == base
+}
+
 // runReplay forks the episode world, applies feats, and advances it
-// through the window with the checker's own sampling schedule.
-func (o *Observer) runReplay(spec episodeSpec, feats sched.Features) (Replay, []obs.ProvRecord) {
+// through the window with the checker's own sampling schedule, recording
+// provenance into the observer's replay ring. A non-nil probe is
+// attached to the replay world.
+func (o *Observer) runReplay(spec episodeSpec, feats sched.Features, probe *sched.DivergenceProbe) Replay {
+	if o.ring == nil {
+		o.ring = obs.NewProvRing(o.cfg.ProvCap)
+	}
+	o.ring.Reset()
 	w := forkWorld(spec.world)
 	if w == nil {
-		return Replay{}, nil // second-level fork cannot realistically fail; stay safe
+		return Replay{} // second-level fork cannot realistically fail; stay safe
 	}
 	w.Sched.ApplyFeatures(feats)
-	ring := obs.NewProvRing(o.cfg.ProvCap)
-	w.Sched.SetProvenance(ring)
+	w.Sched.SetProvenance(o.ring)
+	if probe != nil {
+		w.Sched.SetDivergenceProbe(probe)
+	}
 	col := latency.NewCollector(latency.Config{StreakK: o.cfg.StreakK})
 	w.Sched.SetLatencyProbe(col)
 
@@ -448,16 +493,19 @@ func (o *Observer) runReplay(spec episodeSpec, feats sched.Features) (Replay, []
 		BusyWakeups: int64(counters.WakeupsOnBusy - startCounters.WakeupsOnBusy),
 		Streaks:     col.StreakCount(),
 		Events:      w.Eng.Processed() - startEvents,
-		ProvRecords: ring.Total(),
+		ProvRecords: o.ring.Total(),
 	}
 	if d := col.WakeDigest(); d != nil {
 		rep.P99WakeNs = d.P99Ns
 	}
 	rep.Persisted = spec.persistFn(sampled, col)
-	return rep, ring.Records(nil)
+	return rep
 }
 
-// forkWorld is Observer.fork for an already-forked episode world.
+// forkWorld deep-copies m, absorbing the panic Machine.Fork raises for
+// worlds it cannot clone (queued Task.OnDone hooks, attached placement
+// policies) by returning nil: those scenarios report ForkUnavailable
+// instead of episodes.
 func forkWorld(m *machine.Machine) (m2 *machine.Machine) {
 	defer func() {
 		if recover() != nil {

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/campaign"
 	"repro/internal/checker"
+	"repro/internal/explain"
 	"repro/internal/machine"
 	"repro/internal/sched"
 	"repro/internal/sim"
@@ -192,5 +193,60 @@ func TestForkAtOnsetReplayMatchesFreshRun(t *testing.T) {
 	}
 	if ca, cb := f.Sched.Counters(), fresh.Sched.Counters(); ca != cb {
 		t.Errorf("scheduler counters differ:\n fork  %+v\n fresh %+v", ca, cb)
+	}
+}
+
+// TestSkippedReplaysMatchControl proves the replay skip rule sound: every
+// fix replay the observer elides — the fix already on, or a construction
+// fix whose divergence probe stayed silent through the control — is
+// re-run in full and must equal the control's Replay, provenance record
+// for record. nas-hotplug:lu is the cell where the missing-domains probe
+// fires (the episode worlds are post-hotplug), so its md replays must
+// run for real.
+func TestSkippedReplaysMatchControl(t *testing.T) {
+	audit := explain.AuditSkips(t)
+	lattice := campaign.LatticeConfigs()
+	m := campaign.Matrix{
+		Topologies: campaign.MustTopologies("bulldozer8", "machine32"),
+		Workloads:  campaign.MustWorkloads("make2r", "tpch", "nas-pin:lu", "nas-hotplug:lu"),
+		// fx-none, fx-gc, fx-gi+oow+md, fx-all: every fix is both on
+		// and off in some base, and each construction fix is off in two.
+		Configs: []campaign.ConfigSpec{lattice[0], lattice[2], lattice[13], lattice[15]},
+		Seeds:   []int64{1},
+		Scale:   0.5,
+		Horizon: 100 * sim.Second,
+	}
+	c, err := campaign.RunScenarios(m.Scenarios(), campaign.RunnerOpts{
+		Workers: 2, BaseSeed: 42, Checker: bisectLens(), Explain: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var episodes, hotplugMDRun int
+	for _, r := range c.Results {
+		if r.Explain == nil {
+			continue
+		}
+		episodes += len(r.Explain.Episodes)
+		if r.Workload != "nas-hotplug:lu" {
+			continue
+		}
+		for _, ep := range r.Explain.Episodes {
+			for _, f := range ep.Fixes {
+				if f.Fix == "md" && (f.FirstDivergence != nil || f.Replay != ep.Control) {
+					hotplugMDRun++
+				}
+			}
+		}
+	}
+	t.Logf("%d episodes; skipped: %d on, %d gc, %d md; %d nas-hotplug md replays diverged",
+		episodes, audit.Skipped("on"), audit.Skipped("gc"), audit.Skipped("md"), hotplugMDRun)
+	for _, reason := range []string{"on", "gc", "md"} {
+		if audit.Skipped(reason) == 0 {
+			t.Errorf("no %q replays skipped: the rule went unexercised", reason)
+		}
+	}
+	if hotplugMDRun == 0 {
+		t.Error("no nas-hotplug md replay ran in full: the md probe never fired")
 	}
 }

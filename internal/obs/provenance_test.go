@@ -33,6 +33,36 @@ func TestProvRingKeepsNewest(t *testing.T) {
 	}
 }
 
+// A reset ring is reused for every explain replay of a scenario: after
+// a wrap and a Reset it must hold only the new records, oldest first,
+// and keep recording without allocating.
+func TestProvRingResetAfterWrap(t *testing.T) {
+	p := NewProvRing(4)
+	for i := 0; i < 7; i++ {
+		p.Record(ProvRecord{Arg: int64(i)})
+	}
+	p.Reset()
+	for i := 100; i < 103; i++ {
+		p.Record(ProvRecord{Arg: int64(i)})
+	}
+	recs := p.Records(nil)
+	if len(recs) != 3 || p.Total() != 3 || p.Dropped() != 0 {
+		t.Fatalf("after Reset: %d records, total %d, dropped %d; want 3, 3, 0",
+			len(recs), p.Total(), p.Dropped())
+	}
+	for i, r := range recs {
+		if want := int64(100 + i); r.Arg != want {
+			t.Fatalf("record %d: Arg = %d, want %d", i, r.Arg, want)
+		}
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		p.Record(ProvRecord{Kind: ProvWakeup})
+	})
+	if allocs != 0 {
+		t.Fatalf("Record after Reset allocates %.1f/op, want 0", allocs)
+	}
+}
+
 func TestProvRingRecordsPartial(t *testing.T) {
 	p := NewProvRing(8)
 	p.Record(ProvRecord{At: 1})
@@ -44,8 +74,8 @@ func TestProvRingRecordsPartial(t *testing.T) {
 }
 
 // Record must stay allocation-free: producers call it from the
-// scheduler hot path with provenance enabled, and the explain replays
-// attach fresh rings whose cost must stay predictable.
+// scheduler hot path with provenance enabled, and every explain replay
+// records into the same reset ring, whose cost must stay predictable.
 func TestProvRingRecordAllocFree(t *testing.T) {
 	p := NewProvRing(16)
 	rec := ProvRecord{Kind: ProvBalance, Op: trace.OpPeriodicBalance}

@@ -148,8 +148,13 @@ func (s *Scheduler) Clone(eng *sim.Engine) *Scheduler {
 // reproduced identically therefore keep their pre-rebuild schedules —
 // also what makes a mid-run fork + ApplyFeatures byte-identical to a
 // fresh run with the fix, when the fix had not fired by the fork instant.
+// Flags that construction never reads (group imbalance,
+// overload-on-wakeup) are therefore switched without a rebuild: it
+// would reproduce every core's hierarchy and restore every schedule.
 func (s *Scheduler) ApplyFeatures(f Features) {
-	if f == s.cfg.Features {
+	if f.FixGroupConstruction == s.cfg.Features.FixGroupConstruction &&
+		f.FixMissingDomains == s.cfg.Features.FixMissingDomains {
+		s.cfg.Features = f
 		return
 	}
 	oldDomains := make([][]*Domain, len(s.cpus))
