@@ -23,36 +23,20 @@
 //	                  every benchmark reporting one; exit 3 when the
 //	                  ratio exceeds the bound (0 disables, the default)
 //
-// Exit codes: 0 on success, 1 on runtime/IO errors, 2 on usage errors,
-// 3 when -baseline found an allocation regression — mirroring the
-// campaign and bisect CLIs so CI can tell the cases apart.
+// Exit codes follow the harness convention (README, "Exit codes"):
+// 3 means -baseline found an allocation regression or
+// -max-allocs-per-event a breach.
 package main
 
 import (
-	"flag"
 	"fmt"
 	"os"
 	"strings"
 
 	"repro/internal/campaign"
+	"repro/internal/cli"
 	"repro/internal/perf"
 )
-
-const (
-	exitRuntime    = 1
-	exitUsage      = 2
-	exitRegression = 3
-)
-
-func fatalf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "benchjson: "+format+"\n", args...)
-	os.Exit(exitRuntime)
-}
-
-func usagef(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "benchjson: "+format+"\n", args...)
-	os.Exit(exitUsage)
-}
 
 // loadAny reads a reference as either a JSON report or raw bench text.
 func loadAny(path string) (*perf.Report, error) {
@@ -66,42 +50,45 @@ func loadAny(path string) (*perf.Report, error) {
 	return perf.Parse(strings.NewReader(string(data)))
 }
 
-func main() {
-	var (
-		in        = flag.String("in", "", "benchmark output file (default stdin)")
-		reference = flag.String("reference", "", "before-run benchmark output or report")
-		out       = flag.String("out", "", "write the JSON report here (\"-\" for stdout)")
-		baseline  = flag.String("baseline", "", "gate allocs/op against this report")
-		allocTol  = flag.Float64("alloc-tolerance", 10, "allowed allocs/op growth percent")
-		maxAPE    = flag.Float64("max-allocs-per-event", 0, "max allocs/op per events/op metric (0 disables)")
-	)
-	flag.Parse()
-	if flag.NArg() > 0 {
-		usagef("unexpected arguments %q", flag.Args())
+func main() { cli.Main("benchjson", run) }
+
+func run(c *cli.Cmd, args []string) error {
+	fs := c.FlagSet()
+	in := fs.String("in", "", "benchmark output file (default stdin)")
+	reference := fs.String("reference", "", "before-run benchmark output or report")
+	out := fs.String("out", "", "write the JSON report here (\"-\" for stdout)")
+	baseline := fs.String("baseline", "", "gate allocs/op against this report")
+	allocTol := fs.Float64("alloc-tolerance", 10, "allowed allocs/op growth percent")
+	maxAPE := fs.Float64("max-allocs-per-event", 0, "max allocs/op per events/op metric (0 disables)")
+	if err := c.Parse(fs, args); err != nil {
+		return err
+	}
+	if err := cli.NoArgs(fs); err != nil {
+		return err
 	}
 
 	src := os.Stdin
 	if *in != "" {
 		f, err := os.Open(*in)
 		if err != nil {
-			fatalf("%v", err)
+			return err
 		}
 		defer f.Close()
 		src = f
 	}
 	rep, err := perf.Parse(src)
 	if err != nil {
-		fatalf("%v", err)
+		return err
 	}
 	if len(rep.Benchmarks) == 0 {
-		fatalf("no benchmark results found in input")
+		return fmt.Errorf("no benchmark results found in input")
 	}
 	rep.ModelVersion = campaign.ModelVersion
 
 	if *reference != "" {
 		ref, err := loadAny(*reference)
 		if err != nil {
-			fatalf("%v", err)
+			return err
 		}
 		rep.SetReference(ref)
 	} else if *out != "" && *out != "-" {
@@ -117,34 +104,30 @@ func main() {
 	if *out != "" {
 		data, err := rep.EncodeJSON()
 		if err != nil {
-			fatalf("%v", err)
+			return err
 		}
-		if *out == "-" {
-			os.Stdout.Write(data)
-		} else if err := os.WriteFile(*out, data, 0o644); err != nil {
-			fatalf("%v", err)
-		} else {
-			fmt.Fprintf(os.Stderr, "benchjson: wrote %s (%d benchmarks)\n", *out, len(rep.Benchmarks))
+		if err := c.WriteFile(*out, data); err != nil {
+			return err
 		}
 	}
 
 	if *baseline != "" {
 		base, err := perf.Load(*baseline)
 		if err != nil {
-			fatalf("%v", err)
+			return err
 		}
 		regs, matched := perf.CompareAllocs(base, rep, *allocTol)
 		if matched == 0 {
-			fatalf("no benchmark in common with %s — the gate would be vacuous (baseline names: check for stale pins)", *baseline)
+			return fmt.Errorf("no benchmark in common with %s — the gate would be vacuous (baseline names: check for stale pins)", *baseline)
 		}
 		if len(regs) > 0 {
-			fmt.Fprintf(os.Stderr, "benchjson: allocs/op regressed beyond %.3g%% on %d pinned benchmarks:\n", *allocTol, len(regs))
+			c.Logf("allocs/op regressed beyond %.3g%% on %d pinned benchmarks:", *allocTol, len(regs))
 			for _, r := range regs {
-				fmt.Fprintf(os.Stderr, "  %s\n", r)
+				fmt.Fprintf(c.Stderr, "  %s\n", r)
 			}
-			os.Exit(exitRegression)
+			return cli.ErrRegression
 		}
-		fmt.Fprintf(os.Stderr, "benchjson: allocs/op within %.3g%% of %s (%d benchmarks compared)\n", *allocTol, *baseline, matched)
+		c.Logf("allocs/op within %.3g%% of %s (%d benchmarks compared)", *allocTol, *baseline, matched)
 	}
 
 	if *maxAPE > 0 {
@@ -162,15 +145,16 @@ func main() {
 			}
 		}
 		if checked == 0 {
-			fatalf("-max-allocs-per-event set but no benchmark reports an events/op metric")
+			return fmt.Errorf("-max-allocs-per-event set but no benchmark reports an events/op metric")
 		}
 		if len(breaches) > 0 {
-			fmt.Fprintf(os.Stderr, "benchjson: allocs per simulation event above %.3g on %d benchmarks:\n", *maxAPE, len(breaches))
+			c.Logf("allocs per simulation event above %.3g on %d benchmarks:", *maxAPE, len(breaches))
 			for _, s := range breaches {
-				fmt.Fprintf(os.Stderr, "  %s\n", s)
+				fmt.Fprintf(c.Stderr, "  %s\n", s)
 			}
-			os.Exit(exitRegression)
+			return cli.ErrRegression
 		}
-		fmt.Fprintf(os.Stderr, "benchjson: allocs per event within %.3g (%d benchmarks checked)\n", *maxAPE, checked)
+		c.Logf("allocs per event within %.3g (%d benchmarks checked)", *maxAPE, checked)
 	}
+	return nil
 }

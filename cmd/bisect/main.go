@@ -72,410 +72,213 @@
 //	                 must produce byte-identical artifacts)
 //	-q               suppress the verdict summary
 //
-// Exit codes: 0 on success, 1 on runtime/IO errors, 2 on usage errors,
-// 3 when -baseline found a regression — so CI can distinguish "the
-// scheduler model regressed" from "the invocation is broken".
+// Exit codes follow the harness convention (README, "Exit codes"):
+// 3 means -baseline found a regression.
 package main
 
 import (
-	"flag"
 	"fmt"
-	"os"
-	"runtime"
-	"strconv"
-	"strings"
 
 	"repro/internal/bisect"
 	"repro/internal/campaign"
-	"repro/internal/obs"
+	"repro/internal/cli"
 	"repro/internal/shard"
 	"repro/internal/sim"
 )
 
-// exitRegression is the dedicated exit code for a -baseline regression,
-// distinct from runtime errors (1) and usage errors (2).
-const exitRegression = 3
+func main() { cli.Main("bisect", run) }
 
-func main() {
+func run(c *cli.Cmd, args []string) error {
 	var (
-		preset      = flag.String("preset", "default", "sweep preset: smoke, default, full")
-		topos       = flag.String("topos", "", "comma-separated topology overrides")
-		loads       = flag.String("loads", "", "comma-separated workload overrides")
-		seeds       = flag.String("seeds", "", "comma-separated workload seed overrides")
-		shardSpec   = flag.String("shard", "", "run only shard i of n (\"i/n\"); writes a campaign artifact")
-		mergeMode   = flag.Bool("merge", false, "merge shard artifacts (positional args) and analyze")
-		incremental = flag.String("incremental", "", "prior bisect artifact: execute only new/changed scenarios")
-		workers     = flag.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
-		baseSeed    = flag.Int64("seed", 42, "campaign base seed")
-		scale       = flag.Float64("scale", 0, "workload scale factor (0 = preset default)")
-		horizon     = flag.Float64("horizon", 0, "per-scenario horizon in virtual seconds (0 = preset default)")
-		perfTol     = flag.Float64("perftol", 0, "perf-verdict makespan tolerance percent (0 = default 10)")
-		latTol      = flag.Float64("lattol", 0, "latency-verdict p99 tolerance percent (0 = default 10)")
-		streakK     = flag.Int("streak-k", 0, "wakeup-streak threshold (0 = default 4)")
-		out         = flag.String("out", "", "write JSON artifact to this file (\"-\" for stdout)")
-		baseline    = flag.String("baseline", "", "compare against this bisect artifact")
-		tolerance   = flag.Float64("tolerance", 2, "baseline regression tolerance percent")
-		bandSource  = flag.String("seed-bands", "", "artifact whose cross-seed spread widens per-metric tolerances")
-		diffOut     = flag.String("diff-out", "", "write the baseline comparison report to this file")
-		traceOut    = flag.String("trace-out", "", "export one scenario as Perfetto JSON to this file")
-		traceKey    = flag.String("trace-key", "", "scenario key to export with -trace-out (default: first)")
-		telemetry   = flag.String("telemetry-addr", "", "serve live expvar progress on this address")
-		explainOn   = flag.Bool("explain", false, "record decision provenance and replay episodes counterfactually")
-		noFork      = flag.Bool("no-fork", false, "simulate every lattice point from scratch (bypass the checkpoint/fork runner)")
-		quiet       = flag.Bool("q", false, "suppress the verdict summary")
+		dims  cli.Dims
+		opt   cli.Run
+		out   cli.Output
+		gate  cli.Gate
+		prog  cli.Progress
+		trace cli.TraceExport
 	)
-	flag.Parse()
-
-	if *streakK < 0 {
-		usagef("-streak-k must be >= 0 (0 = default)")
+	fs := c.FlagSet()
+	preset := fs.String("preset", "default", "sweep preset: smoke, default, full")
+	shardSpec := fs.String("shard", "", "run only shard i of n (\"i/n\"); writes a campaign artifact")
+	mergeMode := fs.Bool("merge", false, "merge shard artifacts (positional args) and analyze")
+	incremental := fs.String("incremental", "", "prior bisect artifact: execute only new/changed scenarios")
+	perfTol := fs.Float64("perftol", 0, "perf-verdict makespan tolerance percent (0 = default 10)")
+	latTol := fs.Float64("lattol", 0, "latency-verdict p99 tolerance percent (0 = default 10)")
+	noFork := fs.Bool("no-fork", false, "simulate every lattice point from scratch (bypass the checkpoint/fork runner)")
+	dims.Register(fs)
+	opt.Register(fs, 0)
+	opt.RegisterWorkers(fs)
+	opt.RegisterExplain(fs)
+	out.Register(fs, "suppress the verdict summary")
+	gate.Register(fs, "compare against this bisect artifact", "baseline regression tolerance percent")
+	gate.RegisterBands(fs)
+	prog.Register(fs)
+	trace.Register(fs)
+	if err := c.Parse(fs, args); err != nil {
+		return err
 	}
+	defer prog.Close()
+
 	o, ok := bisect.OptionsByName(*preset)
 	if !ok {
-		usagef("unknown preset %q (want smoke, default or full)", *preset)
+		return cli.Usagef("unknown preset %q (want smoke, default or full)", *preset)
 	}
-	if err := applyOverrides(&o, *topos, *loads, *seeds); err != nil {
-		usagef("%v", err)
+	if err := dims.Apply(&o.Topologies, &o.Workloads, nil, &o.Seeds); err != nil {
+		return err
 	}
-	o.Workers = *workers
-	o.BaseSeed = *baseSeed
-	if *scale > 0 {
-		o.Scale = *scale
-	}
-	if *horizon > 0 {
-		o.Horizon = sim.Time(*horizon * float64(sim.Second))
-	}
+	opt.Shape(&o.Scale, &o.Horizon)
 	if *perfTol > 0 {
 		o.PerfTolerancePct = *perfTol
 	}
 	if *latTol > 0 {
 		o.LatencyTolerancePct = *latTol
 	}
-	o.StreakK = *streakK
+	o.Workers, o.BaseSeed, o.StreakK, o.Explain = opt.Workers, opt.Seed, opt.StreakK, opt.Explain
 	o.NoFork = *noFork
-	o.Explain = *explainOn
-	opts := campaign.RunnerOpts{Workers: o.Workers, BaseSeed: o.BaseSeed, Checker: o.Checker, StreakK: o.StreakK, Explain: o.Explain}
-
-	// Wall-clock telemetry: progress lines on stderr plus an optional
-	// expvar endpoint. OnResult never influences artifact bytes.
-	var tel *obs.Telemetry
-	onResult := func(r campaign.Result) {
-		if tel == nil {
-			return
-		}
-		tel.Observe(r.Events)
-		if !*quiet {
-			if line, ok := tel.MaybeLine(); ok {
-				fmt.Fprintf(os.Stderr, "bisect: %s\n", line)
-			}
-		}
-	}
-	o.OnResult = onResult
-	opts.OnResult = onResult
-	var stopTel func() error
-	defer func() {
-		if stopTel != nil {
-			stopTel()
-		}
-	}()
-	startTelemetry := func(total int) {
-		w := o.Workers
-		if w <= 0 {
-			w = runtime.GOMAXPROCS(0)
-		}
-		tel = obs.NewTelemetry(total, w)
-		if *telemetry != "" {
-			addr, stop, err := tel.Serve(*telemetry)
-			if err != nil {
-				fatalf("%v", err)
-			}
-			stopTel = stop
-			fmt.Fprintf(os.Stderr, "bisect: telemetry at http://%s/debug/vars\n", addr)
-		}
-	}
+	o.OnResult = prog.OnResult
+	opts := opt.Opts()
+	opts.Checker = o.Checker
+	opts.OnResult = prog.OnResult
+	scenarios := o.Matrix().Scenarios()
 
 	if *shardSpec != "" {
 		// A shard of the lattice is a campaign artifact, not a report:
 		// analysis needs the whole lattice, which only -merge restores.
-		if *mergeMode || *incremental != "" || *baseline != "" {
-			usagef("-shard does not combine with -merge, -incremental or -baseline; merge the shards first")
+		if *mergeMode || *incremental != "" || gate.Baseline != "" {
+			return cli.Usagef("-shard does not combine with -merge, -incremental or -baseline; merge the shards first")
 		}
-		runShard(o, opts, *shardSpec, *out, *quiet, startTelemetry)
-		exportTrace(o, opts, *traceOut, *traceKey)
-		return
+		sp, err := shard.ParseSpec(*shardSpec)
+		if err != nil {
+			return cli.Usagef("%v", err)
+		}
+		part, err := sp.Select(scenarios)
+		if err != nil {
+			// A spec that parses but cannot partition this matrix (index
+			// out of range for it, duplicate keys) is still a bad
+			// invocation.
+			return cli.Usagef("%v", err)
+		}
+		c.Logf("shard %s holds %d of %d scenarios (campaign artifact only; -merge analyzes)",
+			sp, len(part), len(scenarios))
+		if err := prog.Start(c, len(part), o.Workers, out.Quiet); err != nil {
+			return err
+		}
+		art, err := campaign.RunScenarios(part, opts)
+		if err != nil {
+			return err
+		}
+		prog.Finish()
+		if err := out.Write(c, art); err != nil {
+			return err
+		}
+		return trace.Write(c, scenarios, opts)
 	}
 
 	var r *bisect.Report
+	var err error
 	switch {
 	case *mergeMode:
 		if *incremental != "" {
-			usagef("-merge does not combine with -incremental")
+			return cli.Usagef("-merge does not combine with -incremental")
 		}
-		if flag.NArg() == 0 {
-			usagef("-merge needs shard artifact files as arguments")
+		if fs.NArg() == 0 {
+			return cli.Usagef("-merge needs shard artifact files as arguments")
 		}
-		parts := make([]*campaign.Campaign, 0, flag.NArg())
-		for _, path := range flag.Args() {
-			parts = append(parts, loadShardArtifact(path))
+		parts := make([]*campaign.Campaign, 0, fs.NArg())
+		for _, path := range fs.Args() {
+			part, err := loadShardArtifact(path)
+			if err != nil {
+				return err
+			}
+			parts = append(parts, part)
 		}
 		merged, err := shard.Merge(parts...)
 		if err != nil {
-			fatalf("%v", err)
+			return err
 		}
-		fmt.Fprintf(os.Stderr, "bisect: merged %d shard artifacts into %d scenarios; analyzing\n",
-			flag.NArg(), len(merged.Results))
+		c.Logf("merged %d shard artifacts into %d scenarios; analyzing", fs.NArg(), len(merged.Results))
 		r, err = bisect.Analyze(merged, o)
 		if err != nil {
-			fatalf("%v", err)
+			return err
 		}
 	case *incremental != "":
-		if flag.NArg() > 0 {
-			usagef("unexpected arguments %q (artifact files only follow -merge)", flag.Args())
+		if fs.NArg() > 0 {
+			return cli.Usagef("unexpected arguments %q (artifact files only follow -merge)", fs.Args())
 		}
 		prior, err := bisect.Load(*incremental)
 		if err != nil {
-			fatalf("%v", err)
+			return err
 		}
-		scenarios := o.Matrix().Scenarios()
 		diff := shard.Plan(scenarios, prior.Campaign, opts)
-		fmt.Fprintf(os.Stderr, "bisect: incremental vs %s: %s\n", *incremental, diff.Summary())
-		startTelemetry(len(diff.ToRun))
-		c, err := diff.Execute(opts)
-		if err != nil {
-			fatalf("%v", err)
+		c.Logf("incremental vs %s: %s", *incremental, diff.Summary())
+		if err := prog.Start(c, len(diff.ToRun), o.Workers, out.Quiet); err != nil {
+			return err
 		}
-		if r, err = bisect.Analyze(c, o); err != nil {
-			fatalf("%v", err)
+		art, err := diff.Execute(opts)
+		if err != nil {
+			return err
+		}
+		if r, err = bisect.Analyze(art, o); err != nil {
+			return err
 		}
 	default:
-		if flag.NArg() > 0 {
-			usagef("unexpected arguments %q (artifact files only follow -merge)", flag.Args())
+		if fs.NArg() > 0 {
+			return cli.Usagef("unexpected arguments %q (artifact files only follow -merge)", fs.Args())
 		}
-		fmt.Fprintf(os.Stderr, "bisect: running %d scenarios (%d cells x %d lattice points, base seed %d, scale %g)\n",
-			o.Matrix().Size(), o.Matrix().Size()/bisect.NumSets, bisect.NumSets, o.BaseSeed, o.Scale)
-		startTelemetry(o.Matrix().Size())
-		var err error
+		c.Logf("running %d scenarios (%d cells x %d lattice points, base seed %d, scale %g)",
+			len(scenarios), len(scenarios)/bisect.NumSets, bisect.NumSets, o.BaseSeed, o.Scale)
+		if err := prog.Start(c, len(scenarios), o.Workers, out.Quiet); err != nil {
+			return err
+		}
 		if r, err = bisect.Run(o); err != nil {
-			fatalf("%v", err)
+			return err
 		}
 	}
-	if tel != nil && !*quiet && tel.Done() > 0 {
-		fmt.Fprintf(os.Stderr, "bisect: %s\n", tel.Line())
+	prog.Finish()
+	if err := trace.Write(c, scenarios, opts); err != nil {
+		return err
 	}
-	exportTrace(o, opts, *traceOut, *traceKey)
-
-	if !*quiet {
-		if *out == "-" {
-			fmt.Fprint(os.Stderr, r.FormatSummary())
-		} else {
-			fmt.Print(r.FormatSummary())
-		}
+	if err := out.Write(c, r); err != nil {
+		return err
 	}
-	if *out != "" {
-		data, err := r.EncodeJSON()
-		if err != nil {
-			fatalf("%v", err)
-		}
-		if *out == "-" {
-			os.Stdout.Write(data)
-		} else if err := os.WriteFile(*out, data, 0o644); err != nil {
-			fatalf("%v", err)
-		} else {
-			fmt.Fprintf(os.Stderr, "bisect: wrote %s (%d bytes)\n", *out, len(data))
-		}
+	if gate.Baseline == "" {
+		return nil
 	}
-	if *baseline != "" {
-		base, err := bisect.Load(*baseline)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		// Metrics are only comparable across equal sweep parameters: a
-		// different checker lens, scale or base seed changes episode
-		// counts and makespans legitimately, not as regressions.
-		switch {
-		case base.CheckerSNs != r.CheckerSNs || base.CheckerMNs != r.CheckerMNs:
-			fatalf("baseline %s used checker lens S=%v M=%v, this run S=%v M=%v; not comparable",
-				*baseline, sim.Time(base.CheckerSNs), sim.Time(base.CheckerMNs),
-				sim.Time(r.CheckerSNs), sim.Time(r.CheckerMNs))
-		case base.ScaleMilli != r.ScaleMilli:
-			fatalf("baseline %s ran at scale %g, this run at %g; not comparable",
-				*baseline, float64(base.ScaleMilli)/1000, float64(r.ScaleMilli)/1000)
-		case base.BaseSeed != r.BaseSeed:
-			fatalf("baseline %s used base seed %d, this run %d; not comparable",
-				*baseline, base.BaseSeed, r.BaseSeed)
-		case base.StreakK != 0 && base.StreakK != r.StreakK:
-			fatalf("baseline %s used streak threshold K=%d, this run K=%d; not comparable",
-				*baseline, base.StreakK, r.StreakK)
-		case base.Campaign.Explain != r.Campaign.Explain:
-			fatalf("baseline %s ran with explain=%v, this run with explain=%v; not comparable",
-				*baseline, base.Campaign.Explain, r.Campaign.Explain)
-		}
-		opts := campaign.CompareOpts{TolerancePct: *tolerance}
-		if *bandSource != "" {
-			src, err := campaign.Load(*bandSource)
-			if err != nil {
-				fatalf("%v", err)
-			}
-			opts.Bands = campaign.SeedBands(src)
-		}
-		cmp := campaign.CompareWithOpts(base.Campaign, r.Campaign, opts)
-		report := campaign.FormatComparison(cmp)
-		fmt.Print(report)
-		if *diffOut != "" {
-			if err := os.WriteFile(*diffOut, []byte(report), 0o644); err != nil {
-				fatalf("%v", err)
-			}
-		}
-		if !cmp.Clean() {
-			os.Exit(exitRegression)
-		}
-	}
-}
-
-// runShard executes one shard of the lattice matrix and writes the
-// campaign shard artifact.
-func runShard(o bisect.Options, opts campaign.RunnerOpts, spec, out string, quiet bool, startTelemetry func(int)) {
-	sp, err := shard.ParseSpec(spec)
+	base, err := bisect.Load(gate.Baseline)
 	if err != nil {
-		usagef("%v", err)
+		return err
 	}
-	scenarios, err := sp.Select(o.Matrix().Scenarios())
-	if err != nil {
-		// A spec that parses but cannot partition this matrix (index out
-		// of range for it, duplicate keys) is still a bad invocation.
-		usagef("%v", err)
+	// Metrics are only comparable across equal sweep parameters: a
+	// different checker lens, scale or base seed changes episode counts
+	// and makespans legitimately, not as regressions.
+	switch {
+	case base.CheckerSNs != r.CheckerSNs || base.CheckerMNs != r.CheckerMNs:
+		return fmt.Errorf("baseline %s used checker lens S=%v M=%v, this run S=%v M=%v; not comparable",
+			gate.Baseline, sim.Time(base.CheckerSNs), sim.Time(base.CheckerMNs),
+			sim.Time(r.CheckerSNs), sim.Time(r.CheckerMNs))
+	case base.ScaleMilli != r.ScaleMilli:
+		return fmt.Errorf("baseline %s ran at scale %g, this run at %g; not comparable",
+			gate.Baseline, float64(base.ScaleMilli)/1000, float64(r.ScaleMilli)/1000)
+	case base.BaseSeed != r.BaseSeed:
+		return fmt.Errorf("baseline %s used base seed %d, this run %d; not comparable",
+			gate.Baseline, base.BaseSeed, r.BaseSeed)
+	case base.StreakK != 0 && base.StreakK != r.StreakK:
+		return fmt.Errorf("baseline %s used streak threshold K=%d, this run K=%d; not comparable",
+			gate.Baseline, base.StreakK, r.StreakK)
+	case base.Campaign.Explain != r.Campaign.Explain:
+		return fmt.Errorf("baseline %s ran with explain=%v, this run with explain=%v; not comparable",
+			gate.Baseline, base.Campaign.Explain, r.Campaign.Explain)
 	}
-	fmt.Fprintf(os.Stderr, "bisect: shard %s holds %d of %d scenarios (campaign artifact only; -merge analyzes)\n",
-		sp, len(scenarios), o.Matrix().Size())
-	startTelemetry(len(scenarios))
-	c, err := campaign.RunScenarios(scenarios, opts)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	if !quiet {
-		if out == "-" {
-			fmt.Fprint(os.Stderr, c.FormatSummary())
-		} else {
-			fmt.Print(c.FormatSummary())
-		}
-	}
-	if out == "" {
-		return
-	}
-	data, err := c.EncodeJSON()
-	if err != nil {
-		fatalf("%v", err)
-	}
-	if out == "-" {
-		os.Stdout.Write(data)
-	} else if err := os.WriteFile(out, data, 0o644); err != nil {
-		fatalf("%v", err)
-	} else {
-		fmt.Fprintf(os.Stderr, "bisect: wrote shard artifact %s (%d bytes)\n", out, len(data))
-	}
-}
-
-// exportTrace writes one scenario of the sweep as Perfetto JSON — a
-// deterministic side run that leaves the report artifact untouched.
-func exportTrace(o bisect.Options, opts campaign.RunnerOpts, outPath, key string) {
-	if outPath == "" {
-		return
-	}
-	sc, err := campaign.SelectExportScenario(o.Matrix().Scenarios(), key)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	f, err := os.Create(outPath)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	exp, err := campaign.ExportPerfetto(sc, opts, f)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		fatalf("%v", err)
-	}
-	fmt.Fprintf(os.Stderr, "bisect: wrote Perfetto trace %s (scenario %s, %d events) — open at ui.perfetto.dev\n",
-		outPath, exp.Key, exp.Events)
-	if exp.Dropped > 0 {
-		fmt.Fprintf(os.Stderr, "bisect: warning: trace dropped %d events (capture buffer full); timeline has gaps\n",
-			exp.Dropped)
-	}
+	return gate.Check(c, base.Campaign, r.Campaign, "", false)
 }
 
 // loadShardArtifact reads a merge input: a campaign shard artifact, or a
 // full bisect artifact whose embedded campaign is used (so a previous
 // report can fill shards that did not re-run). Trying bisect first
 // matters — a bisect report also parses as an empty campaign artifact.
-func loadShardArtifact(path string) *campaign.Campaign {
+func loadShardArtifact(path string) (*campaign.Campaign, error) {
 	if r, err := bisect.Load(path); err == nil {
-		return r.Campaign
+		return r.Campaign, nil
 	}
-	c, err := campaign.Load(path)
-	if err != nil {
-		fatalf("%v", err)
-	}
-	return c
-}
-
-// applyOverrides swaps sweep dimensions for the ones named on the
-// command line.
-func applyOverrides(o *bisect.Options, topos, loads, seeds string) error {
-	if topos != "" {
-		o.Topologies = o.Topologies[:0]
-		for _, name := range splitCSV(topos) {
-			t, ok := campaign.TopologyByName(name)
-			if !ok {
-				return fmt.Errorf("unknown topology %q (have: %s)", name, campaign.TopologyNames())
-			}
-			o.Topologies = append(o.Topologies, t)
-		}
-	}
-	if loads != "" {
-		o.Workloads = o.Workloads[:0]
-		for _, name := range splitCSV(loads) {
-			w, ok := campaign.WorkloadByName(name)
-			if !ok {
-				return fmt.Errorf("unknown workload %q (have: %s, plus nas:<app>)", name, campaign.WorkloadNames())
-			}
-			o.Workloads = append(o.Workloads, w)
-		}
-	}
-	if seeds != "" {
-		o.Seeds = o.Seeds[:0]
-		for _, s := range splitCSV(seeds) {
-			n, err := strconv.ParseInt(s, 10, 64)
-			if err != nil {
-				return fmt.Errorf("bad seed %q: %v", s, err)
-			}
-			o.Seeds = append(o.Seeds, n)
-		}
-	}
-	return nil
-}
-
-func splitCSV(s string) []string {
-	var out []string
-	for _, part := range strings.Split(s, ",") {
-		if part = strings.TrimSpace(part); part != "" {
-			out = append(out, part)
-		}
-	}
-	return out
-}
-
-func fatalf(format string, args ...any) {
-	msg := fmt.Sprintf(format, args...)
-	msg = strings.TrimPrefix(msg, "bisect: ")
-	fmt.Fprintf(os.Stderr, "bisect: %s\n", msg)
-	os.Exit(1)
-}
-
-// usagef reports a bad invocation (exit 2, like flag parse errors), as
-// opposed to runtime failures (exit 1) and baseline regressions (3).
-func usagef(format string, args ...any) {
-	msg := fmt.Sprintf(format, args...)
-	msg = strings.TrimPrefix(msg, "bisect: ")
-	fmt.Fprintf(os.Stderr, "bisect: %s\n", msg)
-	os.Exit(2)
+	return campaign.Load(path)
 }

@@ -68,357 +68,156 @@
 //	-q               suppress the summary table
 //	-list            print builtin topologies/workloads/configs and exit
 //
-// Exit codes: 0 on success, 1 on runtime/IO errors, 2 on usage errors,
-// 3 when -baseline found a regression — so CI can distinguish "the
-// scheduler model regressed" from "the invocation is broken".
+// Exit codes follow the harness convention (README, "Exit codes"):
+// 3 means -baseline found a regression.
 package main
 
 import (
 	"context"
-	"flag"
+	"errors"
 	"fmt"
 	"os"
 	"os/signal"
-	"runtime"
-	"strconv"
-	"strings"
 	"syscall"
 
 	"repro/internal/campaign"
-	"repro/internal/obs"
+	"repro/internal/cli"
 	"repro/internal/shard"
-	"repro/internal/sim"
 )
 
-// exitRegression is the dedicated exit code for a -baseline regression,
-// distinct from runtime errors (1) and usage errors (2).
-const exitRegression = 3
+func main() { cli.Main("campaign", run) }
 
-func main() {
+func run(c *cli.Cmd, args []string) error {
 	var (
-		matrixName  = flag.String("matrix", "default", "preset matrix: default, smoke, full")
-		topos       = flag.String("topos", "", "comma-separated topology overrides")
-		loads       = flag.String("loads", "", "comma-separated workload overrides")
-		configs     = flag.String("configs", "", "comma-separated config overrides")
-		seeds       = flag.String("seeds", "", "comma-separated workload seed overrides")
-		shardSpec   = flag.String("shard", "", "run only shard i of n (\"i/n\")")
-		mergeMode   = flag.Bool("merge", false, "merge shard artifacts (positional args) instead of running")
-		incremental = flag.String("incremental", "", "prior artifact: execute only new/changed scenarios")
-		workers     = flag.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
-		baseSeed    = flag.Int64("seed", 42, "campaign base seed")
-		scale       = flag.Float64("scale", 0, "workload scale factor (0 = preset default)")
-		horizon     = flag.Float64("horizon", 200, "per-scenario horizon in virtual seconds")
-		streakK     = flag.Int("streak-k", 0, "wakeup-streak threshold (0 = default 4)")
-		traceOn     = flag.Bool("trace", false, "capture violation-window traces")
-		explainOn   = flag.Bool("explain", false, "record decision provenance and replay episodes counterfactually")
-		metricsOn   = flag.Bool("metrics", false, "sample virtual-time metrics into per-result snapshots")
-		cadenceMs   = flag.Float64("metrics-cadence-ms", 0, "metrics sampling interval in virtual ms (0 = 10)")
-		traceOut    = flag.String("trace-out", "", "export one scenario as Perfetto JSON to this file")
-		traceKey    = flag.String("trace-key", "", "scenario key to export with -trace-out (default: first)")
-		telemetry   = flag.String("telemetry-addr", "", "serve live expvar progress on this address")
-		out         = flag.String("out", "", "write JSON artifact to this file (\"-\" for stdout)")
-		baseline    = flag.String("baseline", "", "compare against this artifact")
-		tolerance   = flag.Float64("tolerance", 2, "regression tolerance percent")
-		bandSource  = flag.String("seed-bands", "", "artifact whose cross-seed spread widens per-metric tolerances")
-		diffOut     = flag.String("diff-out", "", "write the baseline comparison report to this file")
-		quiet       = flag.Bool("q", false, "suppress the summary table")
-		list        = flag.Bool("list", false, "list builtin dimensions and exit")
+		dims  cli.Dims
+		opt   cli.Run
+		out   cli.Output
+		gate  cli.Gate
+		prog  cli.Progress
+		trace cli.TraceExport
 	)
-	flag.Parse()
-
-	if *streakK < 0 {
-		usagef("-streak-k must be >= 0 (0 = default)")
+	fs := c.FlagSet()
+	matrixName := fs.String("matrix", "default", "preset matrix: default, smoke, full")
+	shardSpec := fs.String("shard", "", "run only shard i of n (\"i/n\")")
+	mergeMode := fs.Bool("merge", false, "merge shard artifacts (positional args) instead of running")
+	incremental := fs.String("incremental", "", "prior artifact: execute only new/changed scenarios")
+	list := fs.Bool("list", false, "list builtin dimensions and exit")
+	dims.Register(fs)
+	dims.RegisterConfigs(fs)
+	opt.Register(fs, 200)
+	opt.RegisterWorkers(fs)
+	opt.RegisterCapture(fs)
+	out.Register(fs, "suppress the summary table")
+	gate.Register(fs, "compare against this artifact", "regression tolerance percent")
+	gate.RegisterBands(fs)
+	prog.Register(fs)
+	trace.Register(fs)
+	if err := c.Parse(fs, args); err != nil {
+		return err
 	}
+	defer prog.Close()
 	if *list {
-		fmt.Printf("topologies: %s\nworkloads:  %s (plus any nas:<app>)\nconfigs:    %s\nmatrices:   default, smoke, full\n",
-			campaign.TopologyNames(), campaign.WorkloadNames(), campaign.ConfigNames())
-		return
+		fmt.Fprintf(c.Stdout, "topologies: %s\nworkloads:  %s (plus %s)\nconfigs:    %s\nmatrices:   default, smoke, full\n",
+			campaign.TopologyNames(), campaign.WorkloadNames(), campaign.WorkloadFamilies, campaign.ConfigNames())
+		return nil
 	}
 
-	var c *campaign.Campaign
+	var art *campaign.Campaign
 	if *mergeMode {
-		if *shardSpec != "" || *incremental != "" {
-			usagef("-merge does not combine with -shard or -incremental")
+		switch {
+		case *shardSpec != "" || *incremental != "":
+			return cli.Usagef("-merge does not combine with -shard or -incremental")
+		case trace.Out != "":
+			return cli.Usagef("-trace-out needs a scenario matrix; it does not combine with -merge")
+		case fs.NArg() == 0:
+			return cli.Usagef("-merge needs shard artifact files as arguments")
 		}
-		if *traceOut != "" {
-			usagef("-trace-out needs a scenario matrix; it does not combine with -merge")
-		}
-		if flag.NArg() == 0 {
-			usagef("-merge needs shard artifact files as arguments")
-		}
-		merged, err := shard.MergeFiles(flag.Args()...)
+		merged, err := shard.MergeFiles(fs.Args()...)
 		if err != nil {
-			fatalf("%v", err)
+			return err
 		}
-		fmt.Fprintf(os.Stderr, "campaign: merged %d shard artifacts into %d scenarios\n",
-			flag.NArg(), len(merged.Results))
-		c = merged
+		c.Logf("merged %d shard artifacts into %d scenarios", fs.NArg(), len(merged.Results))
+		art = merged
 	} else {
-		if flag.NArg() > 0 {
-			usagef("unexpected arguments %q (artifact files only follow -merge)", flag.Args())
+		if fs.NArg() > 0 {
+			return cli.Usagef("unexpected arguments %q (artifact files only follow -merge)", fs.Args())
 		}
 		m, ok := campaign.MatrixByName(*matrixName)
 		if !ok {
-			usagef("unknown matrix preset %q (want default, smoke or full)", *matrixName)
+			return cli.Usagef("unknown matrix preset %q (want default, smoke or full)", *matrixName)
 		}
-		if err := applyOverrides(&m, *topos, *loads, *configs, *seeds); err != nil {
-			usagef("%v", err)
+		if err := dims.Apply(&m.Topologies, &m.Workloads, &m.Configs, &m.Seeds); err != nil {
+			return err
 		}
-		if *scale > 0 {
-			m.Scale = *scale
-		}
+		opt.Shape(&m.Scale, &m.Horizon)
 		if m.Scale == 0 {
 			m.Scale = 1
 		}
-		m.Horizon = sim.Time(*horizon * float64(sim.Second))
 
 		scenarios := m.Scenarios()
 		if *shardSpec != "" {
 			sp, err := shard.ParseSpec(*shardSpec)
 			if err != nil {
-				usagef("%v", err)
+				return cli.Usagef("%v", err)
 			}
 			scenarios, err = sp.Select(scenarios)
 			if err != nil {
 				// A spec that parses but cannot partition this matrix
 				// (index out of range for it, duplicate keys) is still a
 				// bad invocation, not a runtime failure.
-				usagef("%v", err)
+				return cli.Usagef("%v", err)
 			}
-			fmt.Fprintf(os.Stderr, "campaign: shard %s holds %d of %d scenarios\n",
-				sp, len(scenarios), m.Size())
+			c.Logf("shard %s holds %d of %d scenarios", sp, len(scenarios), m.Size())
 		}
-		opts := campaign.RunnerOpts{
-			Workers:        *workers,
-			BaseSeed:       *baseSeed,
-			Trace:          *traceOn,
-			StreakK:        *streakK,
-			Metrics:        *metricsOn,
-			MetricsCadence: sim.Time(*cadenceMs * float64(sim.Millisecond)),
-			Explain:        *explainOn,
-		}
-
-		// Wall-clock telemetry: progress lines on stderr plus an optional
-		// expvar endpoint. Strictly observational — OnResult never touches
-		// the artifact, so byte-determinism is preserved.
-		var tel *obs.Telemetry
-		opts.OnResult = func(r campaign.Result) {
-			if tel == nil {
-				return
-			}
-			tel.Observe(r.Events)
-			if !*quiet {
-				if line, ok := tel.MaybeLine(); ok {
-					fmt.Fprintf(os.Stderr, "campaign: %s\n", line)
-				}
-			}
-		}
-		var stopTel func() error
-		defer func() {
-			if stopTel != nil {
-				stopTel()
-			}
-		}()
-		startTelemetry := func(total int) {
-			tel = obs.NewTelemetry(total, effectiveWorkers(*workers))
-			if *telemetry != "" {
-				addr, stop, err := tel.Serve(*telemetry)
-				if err != nil {
-					fatalf("%v", err)
-				}
-				stopTel = stop
-				fmt.Fprintf(os.Stderr, "campaign: telemetry at http://%s/debug/vars\n", addr)
-			}
-		}
+		opts := opt.Opts()
+		opts.OnResult = prog.OnResult
 
 		// Ctrl-C / SIGTERM cancels the run: the worker pool stops feeding
 		// scenarios, drains the in-flight ones, and campaign exits 1
 		// without writing a partial artifact.
 		ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 		defer stopSignals()
-		runFatalf := func(err error) {
-			if ctx.Err() != nil {
-				fatalf("interrupted: in-flight scenarios drained, no artifact written")
-			}
-			fatalf("%v", err)
-		}
-
+		var err error
 		if *incremental != "" {
-			prior, err := campaign.Load(*incremental)
-			if err != nil {
-				fatalf("%v", err)
+			var prior *campaign.Campaign
+			if prior, err = campaign.Load(*incremental); err != nil {
+				return err
 			}
 			diff := shard.Plan(scenarios, prior, opts)
-			fmt.Fprintf(os.Stderr, "campaign: incremental vs %s: %s\n", *incremental, diff.Summary())
-			startTelemetry(len(diff.ToRun))
-			spliced, err := diff.ExecuteCtx(ctx, opts)
-			if err != nil {
-				runFatalf(err)
+			c.Logf("incremental vs %s: %s", *incremental, diff.Summary())
+			if err := prog.Start(c, len(diff.ToRun), opts.Workers, out.Quiet); err != nil {
+				return err
 			}
-			c = spliced
+			art, err = diff.ExecuteCtx(ctx, opts)
 		} else {
-			fmt.Fprintf(os.Stderr, "campaign: running %d scenarios on %d workers (base seed %d, scale %g)\n",
-				len(scenarios), effectiveWorkers(*workers), *baseSeed, m.Scale)
-			startTelemetry(len(scenarios))
-			run, err := campaign.RunScenariosCtx(ctx, scenarios, opts)
-			if err != nil {
-				runFatalf(err)
+			c.Logf("running %d scenarios on %d workers (base seed %d, scale %g)",
+				len(scenarios), cli.Workers(opts.Workers), opts.BaseSeed, m.Scale)
+			if err := prog.Start(c, len(scenarios), opts.Workers, out.Quiet); err != nil {
+				return err
 			}
-			c = run
+			art, err = campaign.RunScenariosCtx(ctx, scenarios, opts)
 		}
-		if tel != nil && !*quiet && tel.Done() > 0 {
-			fmt.Fprintf(os.Stderr, "campaign: %s\n", tel.Line())
-		}
-
-		if *traceOut != "" {
-			sc, err := campaign.SelectExportScenario(scenarios, *traceKey)
-			if err != nil {
-				fatalf("%v", err)
-			}
-			f, err := os.Create(*traceOut)
-			if err != nil {
-				fatalf("%v", err)
-			}
-			exp, err := campaign.ExportPerfetto(sc, opts, f)
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-			if err != nil {
-				fatalf("%v", err)
-			}
-			fmt.Fprintf(os.Stderr, "campaign: wrote Perfetto trace %s (scenario %s, %d events) — open at ui.perfetto.dev\n",
-				*traceOut, exp.Key, exp.Events)
-			if exp.Dropped > 0 {
-				fmt.Fprintf(os.Stderr, "campaign: warning: trace dropped %d events (capture buffer full); timeline has gaps\n",
-					exp.Dropped)
-			}
-		}
-	}
-
-	if !*quiet {
-		// Keep stdout clean for the artifact when it goes there too.
-		if *out == "-" {
-			fmt.Fprint(os.Stderr, c.FormatSummary())
-		} else {
-			fmt.Print(c.FormatSummary())
-		}
-	}
-	if *out != "" {
-		data, err := c.EncodeJSON()
 		if err != nil {
-			fatalf("%v", err)
+			if ctx.Err() != nil {
+				return errors.New("interrupted: in-flight scenarios drained, no artifact written")
+			}
+			return err
 		}
-		if *out == "-" {
-			os.Stdout.Write(data)
-		} else if err := os.WriteFile(*out, data, 0o644); err != nil {
-			fatalf("%v", err)
-		} else {
-			fmt.Fprintf(os.Stderr, "campaign: wrote %s (%d bytes)\n", *out, len(data))
+		prog.Finish()
+		if err := trace.Write(c, scenarios, opts); err != nil {
+			return err
 		}
 	}
-	if *baseline != "" {
-		base, err := campaign.Load(*baseline)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		opts := campaign.CompareOpts{TolerancePct: *tolerance}
-		if *bandSource != "" {
-			src, err := campaign.Load(*bandSource)
-			if err != nil {
-				fatalf("%v", err)
-			}
-			opts.Bands = campaign.SeedBands(src)
-		}
-		cmp := campaign.CompareWithOpts(base, c, opts)
-		report := campaign.FormatComparison(cmp)
-		fmt.Print(report)
-		if *diffOut != "" {
-			if err := os.WriteFile(*diffOut, []byte(report), 0o644); err != nil {
-				fatalf("%v", err)
-			}
-		}
-		if !cmp.Clean() {
-			os.Exit(exitRegression)
-		}
-	}
-}
 
-// applyOverrides swaps matrix dimensions for the ones named on the
-// command line.
-func applyOverrides(m *campaign.Matrix, topos, loads, configs, seeds string) error {
-	if topos != "" {
-		m.Topologies = m.Topologies[:0]
-		for _, name := range splitCSV(topos) {
-			t, ok := campaign.TopologyByName(name)
-			if !ok {
-				return fmt.Errorf("unknown topology %q (have: %s)", name, campaign.TopologyNames())
-			}
-			m.Topologies = append(m.Topologies, t)
-		}
+	if err := out.Write(c, art); err != nil {
+		return err
 	}
-	if loads != "" {
-		m.Workloads = m.Workloads[:0]
-		for _, name := range splitCSV(loads) {
-			w, ok := campaign.WorkloadByName(name)
-			if !ok {
-				return fmt.Errorf("unknown workload %q (have: %s, plus nas:<app>)", name, campaign.WorkloadNames())
-			}
-			m.Workloads = append(m.Workloads, w)
-		}
+	if gate.Baseline == "" {
+		return nil
 	}
-	if configs != "" {
-		m.Configs = m.Configs[:0]
-		for _, name := range splitCSV(configs) {
-			c, ok := campaign.ConfigByName(name)
-			if !ok {
-				return fmt.Errorf("unknown config %q (have: %s)", name, campaign.ConfigNames())
-			}
-			m.Configs = append(m.Configs, c)
-		}
+	base, err := campaign.Load(gate.Baseline)
+	if err != nil {
+		return err
 	}
-	if seeds != "" {
-		m.Seeds = m.Seeds[:0]
-		for _, s := range splitCSV(seeds) {
-			n, err := strconv.ParseInt(s, 10, 64)
-			if err != nil {
-				return fmt.Errorf("bad seed %q: %v", s, err)
-			}
-			m.Seeds = append(m.Seeds, n)
-		}
-	}
-	return nil
-}
-
-func splitCSV(s string) []string {
-	var out []string
-	for _, part := range strings.Split(s, ",") {
-		if part = strings.TrimSpace(part); part != "" {
-			out = append(out, part)
-		}
-	}
-	return out
-}
-
-func effectiveWorkers(w int) int {
-	if w <= 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return w
-}
-
-func fatalf(format string, args ...any) {
-	msg := fmt.Sprintf(format, args...)
-	// Library errors already carry the package prefix.
-	msg = strings.TrimPrefix(msg, "campaign: ")
-	fmt.Fprintf(os.Stderr, "campaign: %s\n", msg)
-	os.Exit(1)
-}
-
-// usagef reports a bad invocation (exit 2, like flag parse errors), as
-// opposed to runtime failures (exit 1) and baseline regressions (3).
-func usagef(format string, args ...any) {
-	msg := fmt.Sprintf(format, args...)
-	msg = strings.TrimPrefix(msg, "campaign: ")
-	fmt.Fprintf(os.Stderr, "campaign: %s\n", msg)
-	os.Exit(2)
+	return gate.Check(c, base, art, "", false)
 }

@@ -45,117 +45,93 @@
 // the local pool drains, and campaignd exits 1 without writing a
 // partial artifact.
 //
-// Exit codes: 0 on success, 1 on runtime/IO errors or interrupt, 2 on
-// usage errors, 3 when -baseline found a regression.
+// Exit codes follow the harness convention (README, "Exit codes"):
+// an interrupt exits 1, and 3 means -baseline found a regression.
 package main
 
 import (
 	"context"
-	"flag"
+	"errors"
 	"fmt"
 	"os"
 	"os/signal"
-	"strconv"
-	"strings"
 	"syscall"
 	"time"
 
 	"repro/internal/campaign"
+	"repro/internal/cli"
 	"repro/internal/dist"
-	"repro/internal/sim"
 )
 
-const exitRegression = 3
+func main() { cli.Main("campaignd", run) }
 
-func main() {
+func run(c *cli.Cmd, args []string) error {
 	var (
-		matrixName  = flag.String("matrix", "default", "preset matrix: default, smoke, full")
-		topos       = flag.String("topos", "", "comma-separated topology overrides")
-		loads       = flag.String("loads", "", "comma-separated workload overrides")
-		configs     = flag.String("configs", "", "comma-separated config overrides")
-		seeds       = flag.String("seeds", "", "comma-separated workload seed overrides")
-		baseSeed    = flag.Int64("seed", 42, "campaign base seed")
-		scale       = flag.Float64("scale", 0, "workload scale factor (0 = preset default)")
-		horizon     = flag.Float64("horizon", 200, "per-scenario horizon in virtual seconds")
-		streakK     = flag.Int("streak-k", 0, "wakeup-streak threshold (0 = default 4)")
-		traceOn     = flag.Bool("trace", false, "capture violation-window traces")
-		explainOn   = flag.Bool("explain", false, "record decision provenance and replay episodes counterfactually")
-		metricsOn   = flag.Bool("metrics", false, "sample virtual-time metrics into per-result snapshots")
-		cadenceMs   = flag.Float64("metrics-cadence-ms", 0, "metrics sampling interval in virtual ms (0 = 10)")
-		incremental = flag.String("incremental", "", "prior artifact: execute only new/changed scenarios")
-
-		workerURLs = flag.String("workers", "", "comma-separated worker base URLs")
-		shardSize  = flag.Int("shard-size", 4, "scenarios per shard")
-		shardTmo   = flag.Float64("shard-timeout", 120, "per-dispatch deadline in seconds")
-		straggler  = flag.Float64("straggler-after", 10, "in-flight seconds before an idle worker steals a shard")
-		retries    = flag.Int("retries", 4, "dispatch attempts per shard before local degradation")
-		heartbeat  = flag.Int("heartbeat-ms", 500, "worker liveness probe interval in ms")
-		noLocal    = flag.Bool("no-local", false, "fail instead of degrading to local execution")
-		localPool  = flag.Int("local-workers", 0, "pool size for locally executed shards (0 = GOMAXPROCS)")
-
-		out        = flag.String("out", "", "write JSON artifact to this file (\"-\" for stdout)")
-		baseline   = flag.String("baseline", "", "compare against this artifact")
-		tolerance  = flag.Float64("tolerance", 2, "regression tolerance percent")
-		bandSource = flag.String("seed-bands", "", "artifact whose cross-seed spread widens per-metric tolerances")
-		diffOut    = flag.String("diff-out", "", "write the baseline comparison report to this file")
-		quiet      = flag.Bool("q", false, "suppress the summary table and progress logs")
+		dims cli.Dims
+		opt  cli.Run
+		out  cli.Output
+		gate cli.Gate
 	)
-	flag.Parse()
-	if flag.NArg() > 0 {
-		usagef("unexpected arguments %q", flag.Args())
+	fs := c.FlagSet()
+	matrixName := fs.String("matrix", "default", "preset matrix: default, smoke, full")
+	incremental := fs.String("incremental", "", "prior artifact: execute only new/changed scenarios")
+	workerURLs := fs.String("workers", "", "comma-separated worker base URLs")
+	shardSize := fs.Int("shard-size", 4, "scenarios per shard")
+	shardTmo := fs.Float64("shard-timeout", 120, "per-dispatch deadline in seconds")
+	straggler := fs.Float64("straggler-after", 10, "in-flight seconds before an idle worker steals a shard")
+	retries := fs.Int("retries", 4, "dispatch attempts per shard before local degradation")
+	heartbeat := fs.Int("heartbeat-ms", 500, "worker liveness probe interval in ms")
+	noLocal := fs.Bool("no-local", false, "fail instead of degrading to local execution")
+	fs.IntVar(&opt.Workers, "local-workers", 0, "pool size for locally executed shards (0 = GOMAXPROCS)")
+	dims.Register(fs)
+	dims.RegisterConfigs(fs)
+	opt.Register(fs, 200)
+	opt.RegisterCapture(fs)
+	out.Register(fs, "suppress the summary table and progress logs")
+	gate.Register(fs, "compare against this artifact", "regression tolerance percent")
+	gate.RegisterBands(fs)
+	if err := c.Parse(fs, args); err != nil {
+		return err
 	}
-	if *streakK < 0 {
-		usagef("-streak-k must be >= 0 (0 = default)")
+	if err := cli.NoArgs(fs); err != nil {
+		return err
 	}
 	if *shardSize < 1 {
-		usagef("-shard-size must be >= 1")
+		return cli.Usagef("-shard-size must be >= 1")
 	}
 	if *retries < 1 {
-		usagef("-retries must be >= 1")
+		return cli.Usagef("-retries must be >= 1")
 	}
 
 	m, ok := campaign.MatrixByName(*matrixName)
 	if !ok {
-		usagef("unknown matrix preset %q (want default, smoke or full)", *matrixName)
+		return cli.Usagef("unknown matrix preset %q (want default, smoke or full)", *matrixName)
 	}
-	if err := applyOverrides(&m, *topos, *loads, *configs, *seeds); err != nil {
-		usagef("%v", err)
+	if err := dims.Apply(&m.Topologies, &m.Workloads, &m.Configs, &m.Seeds); err != nil {
+		return err
 	}
-	if *scale > 0 {
-		m.Scale = *scale
-	}
+	opt.Shape(&m.Scale, &m.Horizon)
 	if m.Scale == 0 {
 		m.Scale = 1
 	}
-	m.Horizon = sim.Time(*horizon * float64(sim.Second))
 	scenarios := m.Scenarios()
-
-	opts := campaign.RunnerOpts{
-		Workers:        *localPool,
-		BaseSeed:       *baseSeed,
-		Trace:          *traceOn,
-		StreakK:        *streakK,
-		Metrics:        *metricsOn,
-		MetricsCadence: sim.Time(*cadenceMs * float64(sim.Millisecond)),
-		Explain:        *explainOn,
-	}
 
 	var prior *campaign.Campaign
 	if *incremental != "" {
 		p, err := campaign.Load(*incremental)
 		if err != nil {
-			fatalf("%v", err)
+			return err
 		}
 		prior = p
 	}
 
 	logf := func(format string, args ...any) {
-		if !*quiet {
-			fmt.Fprintf(os.Stderr, "campaignd: "+format+"\n", args...)
+		if !out.Quiet {
+			c.Logf(format, args...)
 		}
 	}
 	cfg := dist.Config{
-		Workers:        splitCSV(*workerURLs),
+		Workers:        cli.SplitCSV(*workerURLs),
 		ShardSize:      *shardSize,
 		ShardTimeout:   time.Duration(*shardTmo * float64(time.Second)),
 		MaxAttempts:    *retries,
@@ -169,61 +145,27 @@ func main() {
 	defer stop()
 
 	logf("dispatching %d scenarios to %d workers (shard size %d, base seed %d, scale %g)",
-		len(scenarios), len(cfg.Workers), *shardSize, *baseSeed, m.Scale)
-	c, report, err := dist.New(cfg, opts).Run(ctx, scenarios, prior)
+		len(scenarios), len(cfg.Workers), *shardSize, opt.Seed, m.Scale)
+	art, report, err := dist.New(cfg, opt.Opts()).Run(ctx, scenarios, prior)
 	if err != nil {
 		if ctx.Err() != nil {
-			fatalf("interrupted: in-flight shards abandoned, no artifact written")
+			return errors.New("interrupted: in-flight shards abandoned, no artifact written")
 		}
-		fatalf("%v", err)
+		return err
 	}
 	logf("%s", formatReport(report))
 
-	if !*quiet {
-		if *out == "-" {
-			fmt.Fprint(os.Stderr, c.FormatSummary())
-		} else {
-			fmt.Print(c.FormatSummary())
-		}
+	if err := out.Write(c, art); err != nil {
+		return err
 	}
-	if *out != "" {
-		data, err := c.EncodeJSON()
-		if err != nil {
-			fatalf("%v", err)
-		}
-		if *out == "-" {
-			os.Stdout.Write(data)
-		} else if err := os.WriteFile(*out, data, 0o644); err != nil {
-			fatalf("%v", err)
-		} else {
-			logf("wrote %s (%d bytes)", *out, len(data))
-		}
+	if gate.Baseline == "" {
+		return nil
 	}
-	if *baseline != "" {
-		base, err := campaign.Load(*baseline)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		copts := campaign.CompareOpts{TolerancePct: *tolerance}
-		if *bandSource != "" {
-			src, err := campaign.Load(*bandSource)
-			if err != nil {
-				fatalf("%v", err)
-			}
-			copts.Bands = campaign.SeedBands(src)
-		}
-		cmp := campaign.CompareWithOpts(base, c, copts)
-		reportTxt := campaign.FormatComparison(cmp)
-		fmt.Print(reportTxt)
-		if *diffOut != "" {
-			if err := os.WriteFile(*diffOut, []byte(reportTxt), 0o644); err != nil {
-				fatalf("%v", err)
-			}
-		}
-		if !cmp.Clean() {
-			os.Exit(exitRegression)
-		}
+	base, err := campaign.Load(gate.Baseline)
+	if err != nil {
+		return err
 	}
+	return gate.Check(c, base, art, "", false)
 }
 
 func formatReport(r *dist.Report) string {
@@ -233,76 +175,4 @@ func formatReport(r *dist.Report) string {
 		s += " — degraded to fully local execution"
 	}
 	return s
-}
-
-// applyOverrides mirrors cmd/campaign: swap matrix dimensions for the
-// ones named on the command line.
-func applyOverrides(m *campaign.Matrix, topos, loads, configs, seeds string) error {
-	if topos != "" {
-		m.Topologies = m.Topologies[:0]
-		for _, name := range splitCSV(topos) {
-			t, ok := campaign.TopologyByName(name)
-			if !ok {
-				return fmt.Errorf("unknown topology %q (have: %s)", name, campaign.TopologyNames())
-			}
-			m.Topologies = append(m.Topologies, t)
-		}
-	}
-	if loads != "" {
-		m.Workloads = m.Workloads[:0]
-		for _, name := range splitCSV(loads) {
-			w, ok := campaign.WorkloadByName(name)
-			if !ok {
-				return fmt.Errorf("unknown workload %q (have: %s, plus nas:<app>)", name, campaign.WorkloadNames())
-			}
-			m.Workloads = append(m.Workloads, w)
-		}
-	}
-	if configs != "" {
-		m.Configs = m.Configs[:0]
-		for _, name := range splitCSV(configs) {
-			c, ok := campaign.ConfigByName(name)
-			if !ok {
-				return fmt.Errorf("unknown config %q (have: %s)", name, campaign.ConfigNames())
-			}
-			m.Configs = append(m.Configs, c)
-		}
-	}
-	if seeds != "" {
-		m.Seeds = m.Seeds[:0]
-		for _, s := range splitCSV(seeds) {
-			n, err := strconv.ParseInt(s, 10, 64)
-			if err != nil {
-				return fmt.Errorf("bad seed %q: %v", s, err)
-			}
-			m.Seeds = append(m.Seeds, n)
-		}
-	}
-	return nil
-}
-
-func splitCSV(s string) []string {
-	var out []string
-	for _, part := range strings.Split(s, ",") {
-		if part = strings.TrimSpace(part); part != "" {
-			out = append(out, part)
-		}
-	}
-	return out
-}
-
-func fatalf(format string, args ...any) {
-	msg := fmt.Sprintf(format, args...)
-	msg = strings.TrimPrefix(msg, "dist: ")
-	msg = strings.TrimPrefix(msg, "campaign: ")
-	fmt.Fprintf(os.Stderr, "campaignd: %s\n", msg)
-	os.Exit(1)
-}
-
-// usagef reports a bad invocation (exit 2, like flag parse errors), as
-// opposed to runtime failures (exit 1) and baseline regressions (3).
-func usagef(format string, args ...any) {
-	msg := fmt.Sprintf(format, args...)
-	fmt.Fprintf(os.Stderr, "campaignd: %s\n", msg)
-	os.Exit(2)
 }

@@ -32,40 +32,42 @@
 // "kill" fault exits 137 mid-shard, the way an OOM-killed or preempted
 // worker would.
 //
-// Exit codes: 0 on clean shutdown, 1 on runtime errors, 2 on usage
-// errors, 137 when a kill fault fires.
+// Exit codes follow the harness convention (README, "Exit codes"),
+// with 0 on clean shutdown and 137 when a kill fault fires.
 package main
 
 import (
 	"context"
-	"flag"
 	"fmt"
 	"net"
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 
+	"repro/internal/cli"
 	"repro/internal/dist"
 )
 
-func main() {
-	var (
-		listen    = flag.String("listen", "127.0.0.1:0", "address to serve on")
-		portFile  = flag.String("port-file", "", "write the bound port to this file once listening")
-		id        = flag.String("id", "", "worker id in logs and check-ins (default host-pid)")
-		workers   = flag.Int("workers", 0, "local scenario pool size (0 = GOMAXPROCS)")
-		faultSpec = flag.String("fault", "", "fault plan: \"kind:nth=N[,ms=M];...\" (kinds: kill, drop, delay, corrupt)")
-		quiet     = flag.Bool("q", false, "suppress progress logs")
-	)
-	flag.Parse()
-	if flag.NArg() > 0 {
-		usagef("unexpected arguments %q", flag.Args())
+func main() { cli.Main("campaignw", run) }
+
+func run(c *cli.Cmd, args []string) error {
+	fs := c.FlagSet()
+	listen := fs.String("listen", "127.0.0.1:0", "address to serve on")
+	portFile := fs.String("port-file", "", "write the bound port to this file once listening")
+	id := fs.String("id", "", "worker id in logs and check-ins (default host-pid)")
+	workers := fs.Int("workers", 0, "local scenario pool size (0 = GOMAXPROCS)")
+	faultSpec := fs.String("fault", "", "fault plan: \"kind:nth=N[,ms=M];...\" (kinds: kill, drop, delay, corrupt)")
+	quiet := fs.Bool("q", false, "suppress progress logs")
+	if err := c.Parse(fs, args); err != nil {
+		return err
+	}
+	if err := cli.NoArgs(fs); err != nil {
+		return err
 	}
 	plan, err := dist.ParseFaultPlan(*faultSpec)
 	if err != nil {
-		usagef("%v", err)
+		return cli.Usagef("%v", err)
 	}
 	if *id == "" {
 		host, _ := os.Hostname()
@@ -76,7 +78,7 @@ func main() {
 	}
 	logf := func(format string, args ...any) {
 		if !*quiet {
-			fmt.Fprintf(os.Stderr, "campaignw: "+format+"\n", args...)
+			c.Logf(format, args...)
 		}
 	}
 
@@ -87,7 +89,7 @@ func main() {
 		Kill: func() {
 			// A kill fault models sudden worker death: no drain, no
 			// response, exit the way a SIGKILLed process reports.
-			fmt.Fprintf(os.Stderr, "campaignw: %s: kill fault fired, dying mid-shard\n", *id)
+			c.Logf("%s: kill fault fired, dying mid-shard", *id)
 			os.Exit(137)
 		},
 		Logf: logf,
@@ -95,12 +97,12 @@ func main() {
 
 	ln, err := net.Listen("tcp", *listen)
 	if err != nil {
-		fatalf("%v", err)
+		return err
 	}
 	if *portFile != "" {
 		port := ln.Addr().(*net.TCPAddr).Port
 		if err := os.WriteFile(*portFile, []byte(fmt.Sprintf("%d\n", port)), 0o644); err != nil {
-			fatalf("%v", err)
+			return err
 		}
 	}
 	srv := &http.Server{Handler: w.Handler()}
@@ -118,20 +120,9 @@ func main() {
 
 	logf("%s: listening on %s (faults: %s)", *id, ln.Addr(), plan)
 	if err := srv.Serve(ln); err != nil && err != http.ErrServerClosed {
-		fatalf("%v", err)
+		return err
 	}
 	<-done
 	logf("%s: drained, exiting", *id)
-}
-
-func fatalf(format string, args ...any) {
-	msg := strings.TrimPrefix(fmt.Sprintf(format, args...), "dist: ")
-	fmt.Fprintf(os.Stderr, "campaignw: %s\n", msg)
-	os.Exit(1)
-}
-
-func usagef(format string, args ...any) {
-	msg := strings.TrimPrefix(fmt.Sprintf(format, args...), "dist: ")
-	fmt.Fprintf(os.Stderr, "campaignw: %s\n", msg)
-	os.Exit(2)
+	return nil
 }

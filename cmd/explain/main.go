@@ -32,14 +32,13 @@
 //	-diff-out file  also write the baseline comparison report to this file
 //	-q              suppress the human-readable episode transcript
 //
-// Exit codes: 0 on success, 1 on runtime/IO errors, 2 on usage errors,
-// 3 when -baseline found a difference.
+// Exit codes follow the harness convention (README, "Exit codes"):
+// 3 means -baseline found a difference.
 package main
 
 import (
 	"bytes"
 	"encoding/json"
-	"flag"
 	"fmt"
 	"os"
 	"sort"
@@ -47,12 +46,9 @@ import (
 
 	"repro/internal/bisect"
 	"repro/internal/campaign"
+	"repro/internal/cli"
 	"repro/internal/explain"
 )
-
-// exitRegression is the dedicated exit code for a -baseline mismatch,
-// distinct from runtime errors (1) and usage errors (2).
-const exitRegression = 3
 
 // report is the distilled explain artifact: scenario explain blocks and
 // (for bisect inputs) per-cell attribution cross-checks, both
@@ -75,73 +71,72 @@ type cellCheck struct {
 	Check *bisect.ExplainCheck `json:"explain_check"`
 }
 
-func main() {
-	var (
-		in       = flag.String("in", "", "campaign or bisect artifact with explain data")
-		key      = flag.String("key", "", "only render/export this scenario key")
-		out      = flag.String("out", "", "write the distilled explain JSON to this file (\"-\" for stdout)")
-		baseline = flag.String("baseline", "", "compare against this distilled explain report")
-		diffOut  = flag.String("diff-out", "", "write the baseline comparison report to this file")
-		quiet    = flag.Bool("q", false, "suppress the human-readable episode transcript")
-	)
-	flag.Parse()
-	if *in == "" {
-		usagef("-in is required (a campaign or bisect artifact produced with -explain)")
+func main() { cli.Main("explain", run) }
+
+func run(c *cli.Cmd, args []string) error {
+	var out cli.Output
+	fs := c.FlagSet()
+	in := fs.String("in", "", "campaign or bisect artifact with explain data")
+	key := fs.String("key", "", "only render/export this scenario key")
+	baseline := fs.String("baseline", "", "compare against this distilled explain report")
+	diffOut := fs.String("diff-out", "", "write the baseline comparison report to this file")
+	fs.StringVar(&out.Path, "out", "", "write the distilled explain JSON to this file (\"-\" for stdout)")
+	fs.BoolVar(&out.Quiet, "q", false, "suppress the human-readable episode transcript")
+	if err := c.Parse(fs, args); err != nil {
+		return err
 	}
-	if flag.NArg() > 0 {
-		usagef("unexpected arguments %q", flag.Args())
+	if *in == "" {
+		return cli.Usagef("-in is required (a campaign or bisect artifact produced with -explain)")
+	}
+	if err := cli.NoArgs(fs); err != nil {
+		return err
 	}
 
-	rep := load(*in)
+	rep, err := load(*in)
+	if err != nil {
+		return err
+	}
 	if *key != "" {
 		filterKey(rep, *key)
 	}
 	if len(rep.Scenarios) == 0 {
 		if *key != "" {
-			fatalf("no scenario %q with explain data in %s", *key, *in)
+			return fmt.Errorf("no scenario %q with explain data in %s", *key, *in)
 		}
-		fatalf("%s carries no explain data; re-run the sweep with -explain", *in)
+		return fmt.Errorf("%s carries no explain data; re-run the sweep with -explain", *in)
 	}
-
-	if !*quiet {
-		render(os.Stdout, rep)
+	if err := out.Write(c, rep); err != nil {
+		return err
 	}
-	data, err := encode(rep)
+	if *baseline == "" {
+		return nil
+	}
+	base, err := os.ReadFile(*baseline)
 	if err != nil {
-		fatalf("%v", err)
+		return err
 	}
-	if *out != "" {
-		if *out == "-" {
-			os.Stdout.Write(data)
-		} else if err := os.WriteFile(*out, data, 0o644); err != nil {
-			fatalf("%v", err)
-		} else {
-			fmt.Fprintf(os.Stderr, "explain: wrote %s (%d bytes)\n", *out, len(data))
+	data, err := rep.EncodeJSON()
+	if err != nil {
+		return err
+	}
+	diff := compare(base, data, *baseline)
+	if *diffOut != "" {
+		if err := os.WriteFile(*diffOut, []byte(diff), 0o644); err != nil {
+			return err
 		}
 	}
-	if *baseline != "" {
-		base, err := os.ReadFile(*baseline)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		diff := compare(base, data, *baseline)
-		if *diffOut != "" {
-			if err := os.WriteFile(*diffOut, []byte(diff), 0o644); err != nil {
-				fatalf("%v", err)
-			}
-		}
-		if diff != "" {
-			fmt.Print(diff)
-			os.Exit(exitRegression)
-		}
-		fmt.Fprintf(os.Stderr, "explain: matches baseline %s\n", *baseline)
+	if diff != "" {
+		fmt.Fprint(c.Stdout, diff)
+		return cli.ErrRegression
 	}
+	c.Logf("matches baseline %s", *baseline)
+	return nil
 }
 
 // load reads the input artifact — a bisect report (tried first: a
 // bisect report also parses as an empty campaign artifact) or a
 // campaign artifact — and distills its explain data.
-func load(path string) *report {
+func load(path string) (*report, error) {
 	if r, err := bisect.Load(path); err == nil {
 		rep := &report{Version: 1, Source: "bisect"}
 		fill(rep, r.Campaign)
@@ -151,15 +146,15 @@ func load(path string) *report {
 				rep.Cells = append(rep.Cells, cellCheck{Key: c.Key(), Check: c.ExplainCheck})
 			}
 		}
-		return rep
+		return rep, nil
 	}
 	c, err := campaign.Load(path)
 	if err != nil {
-		fatalf("%v", err)
+		return nil, err
 	}
 	rep := &report{Version: 1, Source: "campaign"}
 	fill(rep, c)
-	return rep
+	return rep, nil
 }
 
 func fill(rep *report, c *campaign.Campaign) {
@@ -202,7 +197,8 @@ func matchesCell(scenarioKey, cellKey string) bool {
 	return sp[0] == cp[0] && sp[1] == cp[1] && sp[3] == cp[2]
 }
 
-func encode(rep *report) ([]byte, error) {
+// EncodeJSON renders the distilled report as indented JSON.
+func (rep *report) EncodeJSON() ([]byte, error) {
 	var buf bytes.Buffer
 	enc := json.NewEncoder(&buf)
 	enc.SetIndent("", "  ")
@@ -212,9 +208,10 @@ func encode(rep *report) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// render prints the human-readable transcript: per scenario, the
-// episode replay reports; per cell, the attribution cross-check.
-func render(w *os.File, rep *report) {
+// FormatSummary renders the human-readable transcript: per scenario,
+// the episode replay reports; per cell, the attribution cross-check.
+func (rep *report) FormatSummary() string {
+	w := new(strings.Builder)
 	for _, s := range rep.Scenarios {
 		ex := s.Explain
 		fmt.Fprintf(w, "%s: %d episodes (%d checker, %d streak), %d provenance records\n",
@@ -239,6 +236,7 @@ func render(w *os.File, rep *report) {
 			c.Key, ck.Episodes, ck.Attributed,
 			orNone(ck.CheckerFixes), orNone(ck.StreakFixes), verdict)
 	}
+	return w.String()
 }
 
 func orNone(fixes []string) string {
@@ -307,20 +305,4 @@ func diffKeyed(b *strings.Builder, kind string, base, cur map[string]string) {
 			fmt.Fprintf(b, "  %s %s: explain data changed\n", kind, k)
 		}
 	}
-}
-
-func fatalf(format string, args ...any) {
-	msg := fmt.Sprintf(format, args...)
-	msg = strings.TrimPrefix(msg, "explain: ")
-	fmt.Fprintf(os.Stderr, "explain: %s\n", msg)
-	os.Exit(1)
-}
-
-// usagef reports a bad invocation (exit 2, like flag parse errors), as
-// opposed to runtime failures (exit 1) and baseline mismatches (3).
-func usagef(format string, args ...any) {
-	msg := fmt.Sprintf(format, args...)
-	msg = strings.TrimPrefix(msg, "explain: ")
-	fmt.Fprintf(os.Stderr, "explain: %s\n", msg)
-	os.Exit(2)
 }

@@ -48,257 +48,122 @@
 //	-list            print registered policies, topologies and workloads
 //	-q               suppress the verdict summary
 //
-// Exit codes: 0 on success, 1 on runtime/IO errors, 2 on usage errors,
-// 3 when -baseline found a metric or verdict regression.
+// Exit codes follow the harness convention (README, "Exit codes"):
+// 3 means -baseline found a metric or verdict regression.
 package main
 
 import (
-	"flag"
 	"fmt"
-	"os"
-	"runtime"
-	"strconv"
-	"strings"
 
 	"repro/internal/campaign"
-	"repro/internal/obs"
+	"repro/internal/cli"
 	"repro/internal/sim"
 	"repro/internal/tourney"
 )
 
-// exitRegression is the dedicated exit code for a -baseline regression,
-// distinct from runtime errors (1) and usage errors (2).
-const exitRegression = 3
+func main() { cli.Main("tourney", run) }
 
-func main() {
+func run(c *cli.Cmd, args []string) error {
 	var (
-		preset     = flag.String("preset", "default", "tournament preset: smoke, default, full")
-		policies   = flag.String("policies", "", "comma-separated policy lineup overrides")
-		topos      = flag.String("topos", "", "comma-separated topology overrides")
-		loads      = flag.String("loads", "", "comma-separated workload overrides")
-		seeds      = flag.String("seeds", "", "comma-separated workload seed overrides")
-		workers    = flag.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
-		baseSeed   = flag.Int64("seed", 42, "campaign base seed")
-		scale      = flag.Float64("scale", 0, "workload scale factor (0 = preset default)")
-		horizon    = flag.Float64("horizon", 0, "per-scenario horizon in virtual seconds (0 = preset default)")
-		verdictTol = flag.Float64("verdict-tol", 0, "verdict winner-circle tolerance percent (0 = default 5)")
-		streakK    = flag.Int("streak-k", 0, "wakeup-streak threshold (0 = default 4)")
-		out        = flag.String("out", "", "write JSON artifact to this file (\"-\" for stdout)")
-		baseline   = flag.String("baseline", "", "compare against this tourney artifact")
-		tolerance  = flag.Float64("tolerance", 2, "baseline metric-regression tolerance percent")
-		diffOut    = flag.String("diff-out", "", "write the baseline comparison report to this file")
-		list       = flag.Bool("list", false, "print registered policies, topologies and workloads")
-		quiet      = flag.Bool("q", false, "suppress the verdict summary")
+		dims cli.Dims
+		opt  cli.Run
+		out  cli.Output
+		gate cli.Gate
+		prog cli.Progress
 	)
-	flag.Parse()
+	fs := c.FlagSet()
+	preset := fs.String("preset", "default", "tournament preset: smoke, default, full")
+	verdictTol := fs.Float64("verdict-tol", 0, "verdict winner-circle tolerance percent (0 = default 5)")
+	list := fs.Bool("list", false, "print registered policies, topologies and workloads")
+	dims.Register(fs)
+	dims.RegisterPolicies(fs)
+	opt.Register(fs, 0)
+	opt.RegisterWorkers(fs)
+	out.Register(fs, "suppress the verdict summary")
+	gate.Register(fs, "compare against this tourney artifact", "baseline metric-regression tolerance percent")
+	if err := c.Parse(fs, args); err != nil {
+		return err
+	}
 
 	if *list {
-		fmt.Printf("policies:   %s\n", campaign.ConfigNames())
-		fmt.Printf("topologies: %s\n", campaign.TopologyNames())
-		fmt.Printf("workloads:  %s (plus nas:<app>, nas-pin:<app>, nas-hotplug:<app>, serve:<qps>)\n",
-			campaign.WorkloadNames())
-		return
+		fmt.Fprintf(c.Stdout, "policies:   %s\ntopologies: %s\nworkloads:  %s (plus %s)\n",
+			campaign.ConfigNames(), campaign.TopologyNames(), campaign.WorkloadNames(), campaign.WorkloadFamilies)
+		return nil
 	}
-	if flag.NArg() > 0 {
-		usagef("unexpected arguments %q", flag.Args())
-	}
-	if *streakK < 0 {
-		usagef("-streak-k must be >= 0 (0 = default)")
+	if err := cli.NoArgs(fs); err != nil {
+		return err
 	}
 	o, ok := tourney.OptionsByName(*preset)
 	if !ok {
-		usagef("unknown preset %q (want smoke, default or full)", *preset)
+		return cli.Usagef("unknown preset %q (want smoke, default or full)", *preset)
 	}
-	if err := applyOverrides(&o, *policies, *topos, *loads, *seeds); err != nil {
-		usagef("%v", err)
+	if err := dims.Apply(&o.Topologies, &o.Workloads, &o.Policies, &o.Seeds); err != nil {
+		return err
 	}
-	o.Workers = *workers
-	o.BaseSeed = *baseSeed
-	if *scale > 0 {
-		o.Scale = *scale
-	}
-	if *horizon > 0 {
-		o.Horizon = sim.Time(*horizon * float64(sim.Second))
-	}
+	opt.Shape(&o.Scale, &o.Horizon)
 	if *verdictTol > 0 {
 		o.TolerancePct = *verdictTol
 	}
-	o.StreakK = *streakK
+	o.Workers, o.BaseSeed, o.StreakK = opt.Workers, opt.Seed, opt.StreakK
+	o.OnResult = prog.OnResult
 
-	// Wall-clock telemetry on stderr; OnResult never influences
-	// artifact bytes.
-	w := o.Workers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	tel := obs.NewTelemetry(o.Matrix().Size(), w)
-	o.OnResult = func(r campaign.Result) {
-		tel.Observe(r.Events)
-		if !*quiet {
-			if line, ok := tel.MaybeLine(); ok {
-				fmt.Fprintf(os.Stderr, "tourney: %s\n", line)
-			}
-		}
-	}
-
-	fmt.Fprintf(os.Stderr, "tourney: running %d scenarios (%d cells x %d policies, base seed %d, scale %g)\n",
+	c.Logf("running %d scenarios (%d cells x %d policies, base seed %d, scale %g)",
 		o.Matrix().Size(), o.Matrix().Size()/len(o.Policies), len(o.Policies), o.BaseSeed, o.Scale)
+	if err := prog.Start(c, o.Matrix().Size(), o.Workers, out.Quiet); err != nil {
+		return err
+	}
 	r, err := tourney.Run(o)
 	if err != nil {
-		fatalf("%v", err)
+		return err
 	}
-	if !*quiet && tel.Done() > 0 {
-		fmt.Fprintf(os.Stderr, "tourney: %s\n", tel.Line())
+	prog.Finish()
+	if err := out.Write(c, r); err != nil {
+		return err
 	}
-
-	if !*quiet {
-		if *out == "-" {
-			fmt.Fprint(os.Stderr, r.FormatSummary())
-		} else {
-			fmt.Print(r.FormatSummary())
-		}
+	if gate.Baseline == "" {
+		return nil
 	}
-	if *out != "" {
-		data, err := r.EncodeJSON()
-		if err != nil {
-			fatalf("%v", err)
-		}
-		if *out == "-" {
-			os.Stdout.Write(data)
-		} else if err := os.WriteFile(*out, data, 0o644); err != nil {
-			fatalf("%v", err)
-		} else {
-			fmt.Fprintf(os.Stderr, "tourney: wrote %s (%d bytes)\n", *out, len(data))
-		}
-	}
-	if *baseline != "" {
-		compareBaseline(r, *baseline, *tolerance, *diffOut)
-	}
+	return compareBaseline(c, gate, r)
 }
 
 // compareBaseline gates the run against a committed tourney artifact on
 // two levels: raw campaign metrics (the same comparator campaign and
 // bisect use) and policy verdicts (winner circles and cell sets). A
-// regression on either level exits 3.
-func compareBaseline(r *tourney.Report, path string, tolerancePct float64, diffOut string) {
+// regression on either level is cli.ErrRegression.
+func compareBaseline(c *cli.Cmd, gate cli.Gate, r *tourney.Report) error {
+	path := gate.Baseline
 	base, err := tourney.Load(path)
 	if err != nil {
-		fatalf("%v", err)
+		return err
 	}
 	// Metrics and verdicts are only comparable across equal tournament
 	// parameters: a different lens changes numbers legitimately.
 	switch {
 	case base.CheckerSNs != r.CheckerSNs || base.CheckerMNs != r.CheckerMNs:
-		fatalf("baseline %s used checker lens S=%v M=%v, this run S=%v M=%v; not comparable",
+		return fmt.Errorf("baseline %s used checker lens S=%v M=%v, this run S=%v M=%v; not comparable",
 			path, sim.Time(base.CheckerSNs), sim.Time(base.CheckerMNs),
 			sim.Time(r.CheckerSNs), sim.Time(r.CheckerMNs))
 	case base.ScaleMilli != r.ScaleMilli:
-		fatalf("baseline %s ran at scale %g, this run at %g; not comparable",
+		return fmt.Errorf("baseline %s ran at scale %g, this run at %g; not comparable",
 			path, float64(base.ScaleMilli)/1000, float64(r.ScaleMilli)/1000)
 	case base.BaseSeed != r.BaseSeed:
-		fatalf("baseline %s used base seed %d, this run %d; not comparable",
+		return fmt.Errorf("baseline %s used base seed %d, this run %d; not comparable",
 			path, base.BaseSeed, r.BaseSeed)
 	case base.StreakK != 0 && base.StreakK != r.StreakK:
-		fatalf("baseline %s used streak threshold K=%d, this run K=%d; not comparable",
+		return fmt.Errorf("baseline %s used streak threshold K=%d, this run K=%d; not comparable",
 			path, base.StreakK, r.StreakK)
 	case base.TolerancePct != r.TolerancePct || base.LatencySlackNs != r.LatencySlackNs:
-		fatalf("baseline %s used verdict tolerance %g%% slack %v, this run %g%% %v; not comparable",
+		return fmt.Errorf("baseline %s used verdict tolerance %g%% slack %v, this run %g%% %v; not comparable",
 			path, base.TolerancePct, sim.Time(base.LatencySlackNs),
 			r.TolerancePct, sim.Time(r.LatencySlackNs))
 	}
-	cmp := campaign.CompareWithOpts(base.Campaign, r.Campaign, campaign.CompareOpts{TolerancePct: tolerancePct})
-	report := campaign.FormatComparison(cmp)
 	verdictDiffs := tourney.CompareVerdicts(base, r)
-	if len(verdictDiffs) == 0 {
-		report += "policy verdicts: unchanged\n"
-	} else {
-		report += fmt.Sprintf("policy verdicts: %d changed\n", len(verdictDiffs))
+	extra := "policy verdicts: unchanged\n"
+	if len(verdictDiffs) > 0 {
+		extra = fmt.Sprintf("policy verdicts: %d changed\n", len(verdictDiffs))
 		for _, d := range verdictDiffs {
-			report += "  " + d + "\n"
+			extra += "  " + d + "\n"
 		}
 	}
-	fmt.Print(report)
-	if diffOut != "" {
-		if err := os.WriteFile(diffOut, []byte(report), 0o644); err != nil {
-			fatalf("%v", err)
-		}
-	}
-	if !cmp.Clean() || len(verdictDiffs) > 0 {
-		os.Exit(exitRegression)
-	}
-}
-
-// applyOverrides swaps tournament dimensions for the ones named on the
-// command line.
-func applyOverrides(o *tourney.Options, policies, topos, loads, seeds string) error {
-	if policies != "" {
-		o.Policies = o.Policies[:0]
-		for _, name := range splitCSV(policies) {
-			p, ok := campaign.ConfigByName(name)
-			if !ok {
-				return fmt.Errorf("unknown policy %q (have: %s)", name, campaign.ConfigNames())
-			}
-			o.Policies = append(o.Policies, p)
-		}
-		if len(o.Policies) < 2 {
-			return fmt.Errorf("a tournament needs at least two policies, got %d", len(o.Policies))
-		}
-	}
-	if topos != "" {
-		o.Topologies = o.Topologies[:0]
-		for _, name := range splitCSV(topos) {
-			t, ok := campaign.TopologyByName(name)
-			if !ok {
-				return fmt.Errorf("unknown topology %q (have: %s)", name, campaign.TopologyNames())
-			}
-			o.Topologies = append(o.Topologies, t)
-		}
-	}
-	if loads != "" {
-		o.Workloads = o.Workloads[:0]
-		for _, name := range splitCSV(loads) {
-			w, ok := campaign.WorkloadByName(name)
-			if !ok {
-				return fmt.Errorf("unknown workload %q (have: %s, plus nas:<app>)", name, campaign.WorkloadNames())
-			}
-			o.Workloads = append(o.Workloads, w)
-		}
-	}
-	if seeds != "" {
-		o.Seeds = o.Seeds[:0]
-		for _, s := range splitCSV(seeds) {
-			n, err := strconv.ParseInt(s, 10, 64)
-			if err != nil {
-				return fmt.Errorf("bad seed %q: %v", s, err)
-			}
-			o.Seeds = append(o.Seeds, n)
-		}
-	}
-	return nil
-}
-
-func splitCSV(s string) []string {
-	var out []string
-	for _, part := range strings.Split(s, ",") {
-		if part = strings.TrimSpace(part); part != "" {
-			out = append(out, part)
-		}
-	}
-	return out
-}
-
-func fatalf(format string, args ...any) {
-	msg := fmt.Sprintf(format, args...)
-	msg = strings.TrimPrefix(msg, "tourney: ")
-	fmt.Fprintf(os.Stderr, "tourney: %s\n", msg)
-	os.Exit(1)
-}
-
-// usagef reports a bad invocation (exit 2, like flag parse errors), as
-// opposed to runtime failures (exit 1) and baseline regressions (3).
-func usagef(format string, args ...any) {
-	msg := fmt.Sprintf(format, args...)
-	msg = strings.TrimPrefix(msg, "tourney: ")
-	fmt.Fprintf(os.Stderr, "tourney: %s\n", msg)
-	os.Exit(2)
+	return gate.Check(c, base.Campaign, r.Campaign, extra, len(verdictDiffs) > 0)
 }

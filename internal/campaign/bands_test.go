@@ -29,7 +29,7 @@ func TestFamilyKey(t *testing.T) {
 func TestSeedBandsDerivation(t *testing.T) {
 	// Four seeds of one family: makespan spreads 1.0s..1.2s around a
 	// 1.1s mean -> band ~18.2%; a single-seed family yields no band.
-	c := &Campaign{Version: Version, Results: []Result{
+	c := &Campaign{Stamp: Stamp{Version: Version}, Results: []Result{
 		bandResult("t", "w", "c", 1, 1_000_000_000, nil),
 		bandResult("t", "w", "c", 2, 1_200_000_000, nil),
 		bandResult("t", "w", "c", 3, 1_100_000_000, nil),
@@ -51,10 +51,10 @@ func TestSeedBandsDerivation(t *testing.T) {
 }
 
 func TestCompareWithBandsWidensTolerance(t *testing.T) {
-	base := &Campaign{Version: Version, ModelVersion: ModelVersion, Results: []Result{
+	base := &Campaign{Stamp: Stamp{Version: Version, ModelVersion: ModelVersion}, Results: []Result{
 		bandResult("t", "w", "c", 1, 1_000_000_000, nil),
 	}}
-	cur := &Campaign{Version: Version, ModelVersion: ModelVersion, Results: []Result{
+	cur := &Campaign{Stamp: Stamp{Version: Version, ModelVersion: ModelVersion}, Results: []Result{
 		bandResult("t", "w", "c", 1, 1_100_000_000, nil), // +10%
 	}}
 	// Global 2% tolerance alone flags the +10% makespan change...
@@ -62,7 +62,7 @@ func TestCompareWithBandsWidensTolerance(t *testing.T) {
 		t.Fatal("expected a regression at 2% tolerance")
 	}
 	// ...but a seed band of ~18% for this family absorbs it.
-	variance := &Campaign{Version: Version, Results: []Result{
+	variance := &Campaign{Stamp: Stamp{Version: Version}, Results: []Result{
 		bandResult("t", "w", "c", 1, 1_000_000_000, nil),
 		bandResult("t", "w", "c", 2, 1_200_000_000, nil),
 	}}

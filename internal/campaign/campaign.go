@@ -146,14 +146,18 @@ type Result struct {
 	Explain *explain.ScenarioExplain `json:"explain,omitempty"`
 }
 
-// Campaign is the aggregate artifact of one matrix run.
-type Campaign struct {
+// Stamp is a run's identity: the artifact header that says whether two
+// artifacts came from the same run. Its fields encode in the artifact's
+// header key order (an embedded struct encodes where it sits), so
+// embedding it first in Campaign leaves every artifact byte unchanged.
+// Shard merges, incremental re-runs and distributed check-ins all
+// compare it through Mismatch.
+type Stamp struct {
 	Version int `json:"version"`
 	// ModelVersion stamps the scheduler-model/metric revision that ran
-	// the scenarios (see the ModelVersion constant). Merge requires all
-	// shards to agree, and incremental re-runs treat a mismatch (or an
-	// old artifact without the stamp) as a full invalidation. Omitted
-	// when empty so pre-stamp artifacts keep their bytes.
+	// the scenarios (see the ModelVersion constant). An old artifact
+	// without it mismatches every current run. Omitted when empty so
+	// pre-stamp artifacts keep their bytes.
 	ModelVersion string `json:"model_version,omitempty"`
 	BaseSeed     int64  `json:"base_seed"`
 	// ScaleMilli is the workload scale in thousandths (an integer so the
@@ -171,28 +175,57 @@ type Campaign struct {
 	CheckerMNs int64 `json:"checker_m_ns"`
 	// Trace records whether the trace recorder was attached (it changes
 	// the per-result TraceEvents counts). Omitted when false so that
-	// pre-existing artifacts keep their bytes; incremental re-runs use it
-	// as part of the cache fingerprint.
+	// pre-existing artifacts keep their bytes.
 	Trace bool `json:"trace,omitempty"`
 	// StreakK records the wakeup-streak threshold every scenario ran
 	// under (after campaign defaulting); per-result WakeStreaks counts
-	// are only meaningful against it, so it joins the merge checks and
-	// the incremental fingerprint.
+	// are only meaningful against it.
 	StreakK int `json:"streak_k,omitempty"`
 	// Metrics records whether the obs metrics registry was attached
 	// (it adds per-result Metrics snapshots and its sampling timer
 	// changes Events counts), and MetricsCadenceNs the resolved
-	// sampling interval. Both join the merge checks and the incremental
-	// fingerprint; both are omitted when metrics are off so
+	// sampling interval. Both are omitted when metrics are off so
 	// pre-existing artifacts keep their bytes.
 	Metrics          bool  `json:"metrics,omitempty"`
 	MetricsCadenceNs int64 `json:"metrics_cadence_ns,omitempty"`
 	// Explain records whether the causal-observability layer was attached
 	// (it adds per-result Explain reports and its episode forking changes
-	// Events counts on scenarios with streak episodes). Like Trace and
-	// Metrics it joins the merge checks and the incremental fingerprint;
-	// omitted when false so pre-existing artifacts keep their bytes.
+	// Events counts on scenarios with streak episodes). Omitted when
+	// false so pre-existing artifacts keep their bytes.
 	Explain bool `json:"explain,omitempty"`
+}
+
+// Mismatch reports the first field where s differs from want, naming
+// the field and both values, or nil when both stamps identify the same
+// run. ScaleMilli and HorizonNs are exempt: they are attested per
+// scenario (an incremental re-run checks them per cached result) and
+// unioned by shard merges, so a stamp may legitimately leave them zero.
+func (s Stamp) Mismatch(want Stamp) error {
+	for _, f := range []struct {
+		name      string
+		got, want any
+	}{
+		{"version", s.Version, want.Version},
+		{"model_version", s.ModelVersion, want.ModelVersion},
+		{"base_seed", s.BaseSeed, want.BaseSeed},
+		{"checker_s_ns", s.CheckerSNs, want.CheckerSNs},
+		{"checker_m_ns", s.CheckerMNs, want.CheckerMNs},
+		{"trace", s.Trace, want.Trace},
+		{"streak_k", s.StreakK, want.StreakK},
+		{"metrics", s.Metrics, want.Metrics},
+		{"metrics_cadence_ns", s.MetricsCadenceNs, want.MetricsCadenceNs},
+		{"explain", s.Explain, want.Explain},
+	} {
+		if f.got != f.want {
+			return fmt.Errorf("%s %#v, want %#v", f.name, f.got, f.want)
+		}
+	}
+	return nil
+}
+
+// Campaign is the aggregate artifact of one matrix run.
+type Campaign struct {
+	Stamp
 	// Policies stamps the (name -> version) of every registered policy
 	// the artifact's scenarios ran under. Shard merges require
 	// overlapping names to agree (same name at different versions means

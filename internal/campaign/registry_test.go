@@ -93,3 +93,22 @@ func TestWorkloadRegistry(t *testing.T) {
 		t.Error("empty workload name accepted")
 	}
 }
+
+// TestWorkloadFamiliesGrammar: the grammar string that usage and error
+// messages print names exactly the registered families, in order, and
+// each example resolves.
+func TestWorkloadFamiliesGrammar(t *testing.T) {
+	items := strings.Split(WorkloadFamilies, ", ")
+	if len(items) != len(families) {
+		t.Fatalf("WorkloadFamilies names %d families, %d are registered", len(items), len(families))
+	}
+	example := strings.NewReplacer("<app>", "lu", "<cycles>", "3", "<qps>", "500")
+	for i, item := range items {
+		if !strings.HasPrefix(item, families[i].prefix) {
+			t.Errorf("WorkloadFamilies item %d is %q, registered family is %q", i, item, families[i].prefix)
+		}
+		if _, ok := WorkloadByName(example.Replace(item)); !ok {
+			t.Errorf("%q does not resolve", example.Replace(item))
+		}
+	}
+}

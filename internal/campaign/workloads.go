@@ -149,9 +149,13 @@ func BuiltinWorkloads() []Workload {
 	return out
 }
 
+// WorkloadFamilies is the grammar of the parameterized workload
+// families WorkloadByName synthesizes on lookup, for usage and error
+// messages.
+const WorkloadFamilies = "nas:<app>, nas-pin:<app>, nas-hotplug:<app>, nas-hotplug-storm:<app>:<cycles>, serve:<qps>"
+
 // WorkloadByName resolves a registered workload, including the dynamic
-// prefix families ("nas:<app>", "nas-pin:<app>", "nas-hotplug:<app>",
-// "nas-hotplug-storm:<app>:<cycles>", "serve:<qps>").
+// prefix families (WorkloadFamilies).
 func WorkloadByName(name string) (Workload, bool) {
 	loadMu.RLock()
 	if w, ok := loadByName[name]; ok {

@@ -613,28 +613,8 @@ func (r *run) dispatchOne(ctx context.Context, w *workerConn, j *job, stolen boo
 // merge exploded" into "that worker's result was refused and the shard
 // re-ran elsewhere".
 func (r *run) verify(part *campaign.Campaign, j *job) error {
-	ck := r.opts.EffectiveChecker()
-	switch {
-	case part.Version != campaign.Version:
-		return fmt.Errorf("dist: check-in has artifact version %d, want %d", part.Version, campaign.Version)
-	case part.ModelVersion != campaign.ModelVersion:
-		return fmt.Errorf("dist: check-in has model version %q, coordinator %q", part.ModelVersion, campaign.ModelVersion)
-	case part.BaseSeed != r.opts.BaseSeed:
-		return fmt.Errorf("dist: check-in has base seed %d, want %d", part.BaseSeed, r.opts.BaseSeed)
-	case part.CheckerSNs != int64(ck.S) || part.CheckerMNs != int64(ck.M):
-		return fmt.Errorf("dist: check-in has checker lens S=%dns M=%dns, want S=%dns M=%dns",
-			part.CheckerSNs, part.CheckerMNs, int64(ck.S), int64(ck.M))
-	case part.StreakK != r.opts.EffectiveStreakK():
-		return fmt.Errorf("dist: check-in has streak threshold K=%d, want K=%d", part.StreakK, r.opts.EffectiveStreakK())
-	case part.Trace != r.opts.Trace:
-		return fmt.Errorf("dist: check-in has trace=%v, want %v", part.Trace, r.opts.Trace)
-	case part.Metrics != r.opts.Metrics:
-		return fmt.Errorf("dist: check-in has metrics=%v, want %v", part.Metrics, r.opts.Metrics)
-	case part.Metrics && part.MetricsCadenceNs != int64(r.opts.EffectiveMetricsCadence()):
-		return fmt.Errorf("dist: check-in has metrics cadence %dns, want %dns",
-			part.MetricsCadenceNs, int64(r.opts.EffectiveMetricsCadence()))
-	case part.Explain != r.opts.Explain:
-		return fmt.Errorf("dist: check-in has explain=%v, want %v", part.Explain, r.opts.Explain)
+	if err := part.Mismatch(r.opts.Stamp()); err != nil {
+		return fmt.Errorf("dist: check-in: %v", err)
 	}
 	if len(part.Results) != len(j.scenarios) {
 		return fmt.Errorf("dist: check-in has %d results, shard %d has %d scenarios",

@@ -159,24 +159,22 @@ type JobSpec struct {
 // coordinator's resolution is the one the worker reproduces and the
 // check-in verifier later asserts.
 func JobFor(shardIdx, attempt int, scenarios []campaign.Scenario, opts campaign.RunnerOpts) JobSpec {
-	ck := opts.EffectiveChecker()
+	ck, st := opts.EffectiveChecker(), opts.Stamp()
 	j := JobSpec{
 		ID:               fmt.Sprintf("shard-%d-try-%d", shardIdx, attempt),
 		Shard:            shardIdx,
 		Attempt:          attempt,
 		Protocol:         ProtocolVersion,
-		BaseSeed:         opts.BaseSeed,
-		CheckerSNs:       int64(ck.S),
-		CheckerMNs:       int64(ck.M),
+		BaseSeed:         st.BaseSeed,
+		CheckerSNs:       st.CheckerSNs,
+		CheckerMNs:       st.CheckerMNs,
 		CheckerSamples:   ck.Samples,
 		CheckerProfileNs: int64(ck.ProfileWindow),
-		StreakK:          opts.EffectiveStreakK(),
-		Trace:            opts.Trace,
-		Metrics:          opts.Metrics,
-		Explain:          opts.Explain,
-	}
-	if opts.Metrics {
-		j.MetricsCadenceNs = int64(opts.EffectiveMetricsCadence())
+		StreakK:          st.StreakK,
+		Trace:            st.Trace,
+		Metrics:          st.Metrics,
+		MetricsCadenceNs: st.MetricsCadenceNs,
+		Explain:          st.Explain,
 	}
 	for _, sc := range scenarios {
 		j.Scenarios = append(j.Scenarios, RefOf(sc))

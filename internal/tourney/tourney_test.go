@@ -164,7 +164,7 @@ func syntheticResult(topo, load, config string, seed int64, makespan sim.Time, c
 // never wins, and so that tolerance admits co-winners.
 func syntheticCampaign() *campaign.Campaign {
 	return &campaign.Campaign{
-		Version: campaign.Version,
+		Stamp: campaign.Stamp{Version: campaign.Version},
 		Results: []campaign.Result{
 			// Cell 1: alpha wins makespan outright; beta within 5% on
 			// p99 thanks to the absolute slack; gamma incomplete.

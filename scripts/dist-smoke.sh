@@ -10,8 +10,10 @@
 # artifact byte-identical (cmp) to the single-process one AND pass the
 # committed baselines/campaign-smoke.json regression gate.
 #
-# Also asserts the CLI usage contract for -shard: malformed or
-# out-of-range specs exit 2 on both campaign and bisect.
+# Also asserts the CLI usage contract: malformed or out-of-range -shard
+# specs exit 2 on both campaign and bisect, and negative numeric flags
+# and unknown dimension overrides exit 2 on campaign, bisect, tourney,
+# campaignd and campaignw.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -107,5 +109,23 @@ for spec in banana 0/3 4/3 1/0 -2/3 1.5/3 3 a/b; do
     expect_exit 2 "$tmp/bisect" -preset smoke -shard "$spec" -out /dev/null
 done
 echo "   malformed and out-of-range -shard specs exit 2 on campaign and bisect"
+
+echo "== dist-smoke: out-of-range numeric flags and bad grammar (must exit 2) =="
+$GO build -race -o "$tmp/tourney" ./cmd/tourney
+for flag in horizon scale tolerance workers streak-k; do
+    expect_exit 2 "$tmp/campaign" -matrix smoke -$flag -1 -out /dev/null
+    expect_exit 2 "$tmp/bisect" -preset smoke -$flag -1 -out /dev/null
+    expect_exit 2 "$tmp/tourney" -preset smoke -$flag -1 -out /dev/null
+done
+for flag in horizon scale tolerance local-workers streak-k metrics-cadence-ms; do
+    expect_exit 2 "$tmp/campaignd" -matrix smoke -$flag -1 -out /dev/null
+done
+expect_exit 2 "$tmp/campaign" -matrix smoke -metrics-cadence-ms -1 -out /dev/null
+expect_exit 2 "$tmp/campaignw" -workers -1
+expect_exit 2 "$tmp/campaign" -matrix smoke -loads nas:nope -out /dev/null
+expect_exit 2 "$tmp/bisect" -preset smoke -seeds 1,x -out /dev/null
+expect_exit 2 "$tmp/tourney" -preset smoke -policies bugs -out /dev/null
+expect_exit 2 "$tmp/campaignd" -matrix smoke -configs nope -out /dev/null
+echo "   negative -horizon/-scale/-tolerance/-workers/-metrics-cadence-ms and bad overrides exit 2"
 
 echo "dist-smoke: OK"
