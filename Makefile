@@ -128,13 +128,18 @@ tourney-smoke:
 # counterfactual attribution or a cell's minimal-set cross-check
 # changed, written to explain-smoke-diff.txt. The second run repeats the
 # sweep on one worker and cmp asserts the artifact is byte-identical:
-# episode replay must not depend on the worker count.
+# episode replay must not depend on the worker count. The third run
+# repeats it through the sequential runner and cmp asserts the forked
+# runner's explain artifact is byte-identical to it, as bisect-smoke
+# does without explain.
 explain-smoke:
 	$(GO) run ./cmd/bisect -preset smoke -explain -q -out explain-bisect.json
 	$(GO) run ./cmd/explain -in explain-bisect.json -q -out explain-smoke.json \
 		-baseline baselines/explain-smoke.json -diff-out explain-smoke-diff.txt
 	$(GO) run ./cmd/bisect -preset smoke -explain -q -workers 1 -out explain-bisect-w1.json
 	cmp explain-bisect.json explain-bisect-w1.json
+	$(GO) run ./cmd/bisect -preset smoke -explain -q -no-fork -out explain-bisect-nofork.json
+	cmp explain-bisect.json explain-bisect-nofork.json
 
 # The CI distributed-campaign gate: coordinator + two local workers
 # under the race detector, with injected faults (worker killed

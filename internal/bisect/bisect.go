@@ -90,9 +90,7 @@ type Options struct {
 	// campaign.RunnerOpts.Explain) to every lattice point: decision
 	// provenance plus per-episode counterfactual replays. Analyze then
 	// cross-checks each cell's per-episode single-fix attributions
-	// against the lattice's minimal fix sets (Cell.ExplainCheck). Forces
-	// the sequential runner for affected cells — the explain hooks
-	// cannot ride the checkpoint/fork fast path.
+	// against the lattice's minimal fix sets (Cell.ExplainCheck).
 	Explain bool
 
 	// OnResult, when non-nil, is passed through to the campaign runner

@@ -4,6 +4,7 @@ import (
 	"sort"
 
 	"repro/internal/checker"
+	"repro/internal/explain"
 	"repro/internal/latency"
 	"repro/internal/machine"
 	"repro/internal/policy"
@@ -35,6 +36,13 @@ import (
 // exactly — trace recorders, obs registries, placement modules, configs
 // differing beyond Features — fall back to runScenario per scenario, so
 // RunScenariosForked is always byte-equivalent to RunScenarios.
+//
+// Explain rides the forked path too. Each fork gets its own observer on
+// its cloned checker and collector. A collapsed config shares its
+// representative's trajectory, and so its episodes, but not its
+// counterfactual replays: those are rerun from the representative's
+// captured episode worlds with the collapsed config as the control
+// (explain.Observer.ReportFor), right after the representative's run.
 
 // RunForked executes a matrix with per-cell forking and equivalence
 // collapse. The artifact is byte-identical to Run's.
@@ -99,11 +107,22 @@ func runCell(scenarios []Scenario, idxs []int, opts RunnerOpts, results []Result
 	ck.ObserveLatency(col)
 	ck.Start()
 
+	// The features each lattice point of the cell runs under; a collapsed
+	// point's explain replays are rerun under them.
+	cellFeatures := map[int]sched.Features{}
+	for _, i := range idxs {
+		f := scenarios[i].Config.Config.Features
+		cellFeatures[featuresMask(f)] = f
+	}
+
 	covered := map[int]Result{} // lattice mask -> result of an equivalent run
 	for _, i := range sorted {
 		sc := scenarios[i]
 		mask := featuresMask(sc.Config.Config.Features)
 		if r, ok := covered[mask]; ok {
+			if collapseHook != nil {
+				collapseHook(r.Key, sc.Key())
+			}
 			r.Key = sc.Key()
 			r.Config = sc.Config.Name
 			results[i] = r
@@ -120,6 +139,10 @@ func runCell(scenarios []Scenario, idxs []int, opts RunnerOpts, results []Result
 		m.Sched.ApplyFeatures(sc.Config.Config.Features)
 		probe := &sched.DivergenceProbe{Armed: maskFeatures(latticeFullMask &^ mask)}
 		m.Sched.SetDivergenceProbe(probe)
+		var exo *explain.Observer
+		if opts.Explain {
+			exo = attachExplain(m, fck, fcol, opts)
+		}
 
 		outcome := sc.Workload.Run(&RunContext{
 			M:       m,
@@ -130,33 +153,44 @@ func runCell(scenarios []Scenario, idxs []int, opts RunnerOpts, results []Result
 		})
 		r := collectResult(sc, engineSeed, m, fck, fcol, outcome)
 		fck.Stop()
+
+		// Equivalence collapse: every superset reachable by adding only
+		// never-fired flags shares this trajectory byte for byte — all
+		// but the explain replays, which are rerun under its features.
+		never := (latticeFullMask &^ mask) &^ featuresMask(probe.Fired)
+		for sub := never; sub != 0; sub = (sub - 1) & never {
+			if _, ok := covered[mask|sub]; ok {
+				continue
+			}
+			cr := r
+			if f, inCell := cellFeatures[mask|sub]; exo != nil && inCell {
+				cr.Explain = exo.ReportFor(f)
+			}
+			covered[mask|sub] = cr
+		}
+		if exo != nil {
+			r.Explain = exo.Report()
+		}
+		covered[mask] = r
 		results[i] = r
 		if opts.OnResult != nil {
 			opts.OnResult(r)
 		}
-
-		// Equivalence collapse: every superset reachable by adding only
-		// never-fired flags shares this trajectory byte for byte.
-		never := (latticeFullMask &^ mask) &^ featuresMask(probe.Fired)
-		for sub := never; ; sub = (sub - 1) & never {
-			if _, ok := covered[mask|sub]; !ok {
-				covered[mask|sub] = r
-			}
-			if sub == 0 {
-				break
-			}
-		}
 	}
 }
 
+// collapseHook, when set, receives the key of every scenario the forked
+// runner collapses and the key of the representative whose run it
+// shares. Calls come from worker goroutines.
+var collapseHook func(rep, member string)
+
 // cellForkable reports whether a cell's scenarios can run on the forked
-// path: no trace/metrics/explain attachments, no placement modules or
-// policy attach hooks, and configs that differ only in Features (with
-// uniform scale and horizon). Explain blocks the forked path because its
-// episode hooks cannot survive a checker Clone (and its own forks would
-// nest inside the lattice's).
+// path: no trace or metrics attachments, no placement modules or policy
+// attach hooks, and configs that differ only in Features (with uniform
+// scale and horizon). Explain is forkable: its observer attaches to each
+// fork after the checker and collector are cloned.
 func cellForkable(scenarios []Scenario, idxs []int, opts RunnerOpts) bool {
-	if opts.Trace || opts.Metrics || opts.Explain {
+	if opts.Trace || opts.Metrics {
 		return false
 	}
 	first := scenarios[idxs[0]]

@@ -57,7 +57,9 @@ type RunnerOpts struct {
 	// detection instant. Each Result carries a deterministic Explain
 	// report. Like Trace, the toggle is stamped into the artifact —
 	// episode forking schedules events on scenarios with streaks, so
-	// explain-on and explain-off artifacts are distinct.
+	// explain-on and explain-off artifacts are distinct. Both runners
+	// support it: the forked lattice runner replays a collapsed config's
+	// episodes from its representative's captured worlds.
 	Explain bool
 	// OnResult, when non-nil, is called from worker goroutines as each
 	// scenario finishes (for progress reporting). Calls may arrive in
@@ -316,12 +318,7 @@ func runScenario(sc Scenario, opts RunnerOpts) Result {
 	ck.ObserveLatency(col)
 	var exo *explain.Observer
 	if opts.Explain {
-		exo = explain.NewObserver(m, explain.Config{
-			Checker: opts.EffectiveChecker(),
-			StreakK: opts.EffectiveStreakK(),
-		})
-		ck.SetEpisodeHook(exo)
-		col.SetStreakHook(exo.OnStreak)
+		exo = attachExplain(m, ck, col, opts)
 	}
 	ck.Start()
 	defer ck.Stop()
@@ -346,6 +343,20 @@ func runScenario(sc Scenario, opts RunnerOpts) Result {
 		r.Explain = exo.Report()
 	}
 	return r
+}
+
+// attachExplain installs an explain observer on m, with its episode hooks
+// on m's checker and latency collector. Both runners attach it once the
+// world's features are final: the observer's control replays run under
+// them.
+func attachExplain(m *machine.Machine, ck *checker.Checker, col *latency.Collector, opts RunnerOpts) *explain.Observer {
+	exo := explain.NewObserver(m, explain.Config{
+		Checker: opts.EffectiveChecker(),
+		StreakK: opts.EffectiveStreakK(),
+	})
+	ck.SetEpisodeHook(exo)
+	col.SetStreakHook(exo.OnStreak)
+	return exo
 }
 
 // collectResult assembles the deterministic per-scenario metrics into a

@@ -44,7 +44,11 @@ type Config struct {
 	ProfileWindow sim.Time
 }
 
-func (c Config) withDefaults() Config {
+// WithDefaults fills every zero field with the paper's value: S=1s,
+// M=100ms, 4 samples, a 20ms profiling window. It is the one home of
+// the checker's defaults; callers that replay the checker's window read
+// M and Samples through it.
+func (c Config) WithDefaults() Config {
 	if c.S == 0 {
 		c.S = sim.Second
 	}
@@ -141,7 +145,7 @@ func (c *Checker) SetEpisodeHook(h EpisodeHook) { c.hook = h }
 // New creates a checker over s. rec may be nil; when present it is
 // activated for ProfileWindow after each confirmed violation.
 func New(s *sched.Scheduler, rec *trace.Recorder, cfg Config) *Checker {
-	c := &Checker{s: s, eng: s.Engine(), cfg: cfg.withDefaults(), rec: rec}
+	c := &Checker{s: s, eng: s.Engine(), cfg: cfg.WithDefaults(), rec: rec}
 	c.tm = c.eng.NewTimer(c.periodic)
 	return c
 }

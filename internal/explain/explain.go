@@ -21,6 +21,13 @@
 // and no divergence. Every replay of a scenario records into one reused
 // provenance ring.
 //
+// Replays depend on the scenario's config; the main trajectory often
+// does not. The forked lattice runner (internal/campaign) runs one
+// world per class of configs that provably share a trajectory, so they
+// share episodes too: the observer keeps each episode's forked world
+// until Report, and ReportFor replays those captured worlds under
+// another member's features, with that config as the control.
+//
 // Replays are driverless: a Machine.Fork carries every machine-owned
 // event (compute timers, ticks, sleeps) but none of the workload driver's
 // future arrivals, so every replay of an episode faces *identical*
@@ -79,19 +86,7 @@ func (c Config) withDefaults() Config {
 	if c.StreakK <= 0 {
 		c.StreakK = latency.DefaultStreakK
 	}
-	c.Checker = checkerDefaults(c.Checker)
-	return c
-}
-
-// checkerDefaults mirrors checker.Config's zero-field defaulting (the
-// checker keeps withDefaults unexported; the values are the paper's).
-func checkerDefaults(c checker.Config) checker.Config {
-	if c.M == 0 {
-		c.M = 100 * sim.Millisecond
-	}
-	if c.Samples == 0 {
-		c.Samples = 4
-	}
+	c.Checker = c.Checker.WithDefaults()
 	return c
 }
 
@@ -241,6 +236,9 @@ type Observer struct {
 
 	pend   *pending
 	report ScenarioExplain
+	// specs holds each replayed episode's captured world, index-aligned
+	// with report.Episodes, for ReportFor. Report drops them.
+	specs []episodeSpec
 }
 
 // NewObserver creates an observer for m and installs its provenance
@@ -295,7 +293,7 @@ func (o *Observer) OnConfirmed(v checker.Violation) {
 		}
 		return
 	}
-	ep := o.replayEpisode(episodeSpec{
+	o.addEpisode(episodeSpec{
 		kind:      "checker",
 		world:     p.world,
 		from:      p.detectedAt,
@@ -307,7 +305,6 @@ func (o *Observer) OnConfirmed(v checker.Violation) {
 		class:     string(v.Class),
 		persistFn: persistChecker,
 	})
-	o.report.Episodes = append(o.report.Episodes, ep)
 	o.report.CheckerEpisodes++
 }
 
@@ -329,7 +326,7 @@ func (o *Observer) OnStreak(start, at sim.Time) {
 			o.report.ForkUnavailable++
 			return
 		}
-		ep := o.replayEpisode(episodeSpec{
+		o.addEpisode(episodeSpec{
 			kind:      "streak",
 			world:     w,
 			from:      o.m.Eng.Now(),
@@ -339,18 +336,45 @@ func (o *Observer) OnStreak(start, at sim.Time) {
 			busy:      -1,
 			persistFn: persistStreak,
 		})
-		o.report.Episodes = append(o.report.Episodes, ep)
 		o.report.StreakEpisodes++
 	})
 }
 
-// Report finalizes and returns the scenario's explain report. Call once
-// the workload has finished.
+// addEpisode replays a new episode under the scenario's own features
+// and keeps its world for ReportFor.
+func (o *Observer) addEpisode(spec episodeSpec) {
+	o.report.Episodes = append(o.report.Episodes, o.replayEpisode(spec, o.base))
+	o.specs = append(o.specs, spec)
+}
+
+// Report finalizes and returns the scenario's explain report and drops
+// the captured episode worlds. Call once the workload has finished, after
+// any ReportFor.
 func (o *Observer) Report() *ScenarioExplain {
 	o.pend = nil
+	o.specs = nil
 	o.report.ProvRecords = o.prov.Total()
 	o.report.ProvDropped = o.prov.Dropped()
 	r := o.report
+	return &r
+}
+
+// ReportFor returns the report a run under features f would have
+// produced, provided that run's main trajectory is this one's — the
+// forked lattice runner's collapse guarantees it for every config it
+// folds onto this run. The episodes, their instants and the provenance
+// totals are this run's; each captured episode world is replayed again
+// with f as the control and f plus each single fix as the
+// counterfactuals. Call it after the workload has finished and before
+// Report.
+func (o *Observer) ReportFor(f sched.Features) *ScenarioExplain {
+	r := o.report
+	r.ProvRecords = o.prov.Total()
+	r.ProvDropped = o.prov.Dropped()
+	r.Episodes = nil
+	for _, spec := range o.specs {
+		r.Episodes = append(r.Episodes, o.replayEpisode(spec, f))
+	}
 	return &r
 }
 
@@ -373,11 +397,11 @@ func persistChecker(sampled bool, _ *latency.Collector) bool { return sampled }
 // window (the replay collector starts fresh, so any streak is new).
 func persistStreak(_ bool, col *latency.Collector) bool { return col.StreakCount() > 0 }
 
-// replayEpisode runs the window once per world: control (the scenario's
-// own features) first, then each single fix merged onto them, in
-// canonical lattice order — skipping the fix replays that replaysControl
-// proves would repeat the control.
-func (o *Observer) replayEpisode(spec episodeSpec) Episode {
+// replayEpisode runs the window once per world: control (base) first,
+// then each single fix merged onto it, in canonical lattice order —
+// skipping the fix replays that replaysControl proves would repeat the
+// control.
+func (o *Observer) replayEpisode(spec episodeSpec, base sched.Features) Episode {
 	window := o.cfg.Checker.M
 	ep := Episode{
 		Kind:        spec.kind,
@@ -390,21 +414,21 @@ func (o *Observer) replayEpisode(spec episodeSpec) Episode {
 		WindowNs:    int64(window),
 	}
 
-	// The control watches the construction fixes the scenario leaves
-	// off; replaysControl reads what fired.
+	// The control watches the construction fixes base leaves off;
+	// replaysControl reads what fired.
 	probe := &sched.DivergenceProbe{Armed: sched.Features{
-		FixGroupConstruction: !o.base.FixGroupConstruction,
-		FixMissingDomains:    !o.base.FixMissingDomains,
+		FixGroupConstruction: !base.FixGroupConstruction,
+		FixMissingDomains:    !base.FixMissingDomains,
 	}}
-	control := o.runReplay(spec, o.base, probe)
+	control := o.runReplay(spec, base, probe)
 	o.controlRecs = o.ring.Records(o.controlRecs[:0])
 	ep.Control = control
 
 	for i, name := range policy.LatticeFixNames() {
-		feats := mergeFeatures(o.base, policy.LatticeFeatures(1<<i))
-		if replaysControl(o.base, feats, probe.Fired) {
+		feats := mergeFeatures(base, policy.LatticeFeatures(1<<i))
+		if replaysControl(base, feats, probe.Fired) {
 			if skipHook != nil {
-				skipHook(o, spec, feats, control)
+				skipHook(o, spec, base, feats, control)
 			}
 			ep.Fixes = append(ep.Fixes, FixReplay{Fix: name, Replay: control})
 			continue
@@ -429,7 +453,7 @@ func (o *Observer) replayEpisode(spec episodeSpec) Episode {
 
 // skipHook, when set, receives every fix replay replayEpisode skips,
 // right after the control replay, so tests can re-run it in full.
-var skipHook func(o *Observer, spec episodeSpec, feats sched.Features, control Replay)
+var skipHook func(o *Observer, spec episodeSpec, base, feats sched.Features, control Replay)
 
 // replaysControl reports whether a replay under feats provably repeats
 // the control replay under base, given the construction flags the

@@ -2,11 +2,13 @@ package explain_test
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"repro/internal/campaign"
 	"repro/internal/checker"
 	"repro/internal/explain"
+	"repro/internal/latency"
 	"repro/internal/machine"
 	"repro/internal/sched"
 	"repro/internal/sim"
@@ -248,5 +250,45 @@ func TestSkippedReplaysMatchControl(t *testing.T) {
 	}
 	if hotplugMDRun == 0 {
 		t.Error("no nas-hotplug md replay ran in full: the md probe never fired")
+	}
+}
+
+// TestReportForOwnFeatures pins ReportFor to the eager replays: replaying
+// the captured episode worlds under the scenario's own features must
+// reproduce Report exactly, on checker and streak episodes alike, with
+// the construction fixes both off and on in the base.
+func TestReportForOwnFeatures(t *testing.T) {
+	lattice := campaign.LatticeConfigs()
+	m := campaign.Matrix{
+		Topologies: campaign.MustTopologies("bulldozer8"),
+		Workloads:  campaign.MustWorkloads("tpch", "nas-pin:lu"),
+		Configs:    []campaign.ConfigSpec{lattice[0], lattice[10]}, // fx-none, fx-gc+md
+		Seeds:      []int64{1},
+		Scale:      0.5,
+		Horizon:    100 * sim.Second,
+	}
+	for _, sc := range m.Scenarios() {
+		seed := campaign.DeriveSeed(42, sc.CellKey(), sc.Seed)
+		topo := sc.Topology.Build()
+		w := machine.New(topo, sc.Config.Config, seed)
+		col := latency.NewCollector(latency.Config{})
+		w.Sched.SetLatencyProbe(col)
+		ck := checker.New(w.Sched, nil, bisectLens())
+		ck.ObserveLatency(col)
+		exo := explain.NewObserver(w, explain.Config{Checker: bisectLens()})
+		ck.SetEpisodeHook(exo)
+		col.SetStreakHook(exo.OnStreak)
+		ck.Start()
+		sc.Workload.Run(&campaign.RunContext{M: w, Topo: topo, Seed: seed, Scale: sc.Scale, Horizon: sc.Horizon})
+		ck.Stop()
+
+		own := exo.ReportFor(w.Sched.Config().Features)
+		rep := exo.Report()
+		if len(rep.Episodes) == 0 {
+			t.Fatalf("%s: no episodes to replay", sc.Key())
+		}
+		if !reflect.DeepEqual(own, rep) {
+			t.Errorf("%s: ReportFor(own features) differs from Report", sc.Key())
+		}
 	}
 }

@@ -29,12 +29,12 @@ func (a *SkipAudit) Skipped(reason string) int {
 func AuditSkips(t *testing.T) *SkipAudit {
 	t.Helper()
 	a := &SkipAudit{skipped: map[string]int{}}
-	skipHook = func(o *Observer, spec episodeSpec, feats sched.Features, control Replay) {
+	skipHook = func(o *Observer, spec episodeSpec, base, feats sched.Features, control Replay) {
 		reason := "on"
 		switch {
-		case feats.FixGroupConstruction != o.base.FixGroupConstruction:
+		case feats.FixGroupConstruction != base.FixGroupConstruction:
 			reason = "gc"
-		case feats.FixMissingDomains != o.base.FixMissingDomains:
+		case feats.FixMissingDomains != base.FixMissingDomains:
 			reason = "md"
 		}
 		rep := o.runReplay(spec, feats, nil)
