@@ -18,7 +18,7 @@ SHELL := /bin/bash
 
 .PHONY: all build vet lint test race bench bench-out.txt bench-json \
 	bench-baseline-refresh profile campaign bisect tourney bisect-smoke \
-	campaign-smoke tourney-smoke explain-smoke trace-smoke dist-smoke \
+	campaign-smoke tourney-smoke explain-smoke trace-smoke dist-smoke fuzz \
 	bisect-nightly campaign-nightly baseline-refresh ci nightly
 
 all: ci
@@ -150,6 +150,17 @@ explain-smoke:
 dist-smoke:
 	./scripts/dist-smoke.sh
 
+# Bounded fuzzing of the parsers behind the trust boundaries: the dist
+# fault-plan and shard-spec parsers (accepted input must round-trip
+# through String) and the binary trace reader (never panics). Each
+# target runs for 10s on top of its committed seed corpus in
+# testdata/fuzz; a failing input lands there too, ready to commit as a
+# regression case.
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzParseFaultPlan$$' -fuzztime 10s ./internal/dist
+	$(GO) test -run '^$$' -fuzz '^FuzzParseSpec$$' -fuzztime 10s ./internal/shard
+	$(GO) test -run '^$$' -fuzz '^FuzzReadBinary$$' -fuzztime 10s ./internal/trace
+
 # Export a Perfetto/Chrome trace of the smoke matrix's lead scenario
 # (a side run — artifact bytes are unaffected). Open trace-smoke.json
 # at https://ui.perfetto.dev; CI uploads it as a workflow artifact.
@@ -190,4 +201,4 @@ baseline-refresh:
 	$(GO) run ./cmd/bisect -preset default -q -out baselines/bisect-default.json
 	$(GO) run ./cmd/campaign -matrix default -scale 0.25 -q -out baselines/campaign-default.json
 
-ci: lint build race bisect-smoke campaign-smoke tourney-smoke explain-smoke dist-smoke
+ci: lint build race bisect-smoke campaign-smoke tourney-smoke explain-smoke dist-smoke fuzz

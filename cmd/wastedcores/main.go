@@ -186,7 +186,7 @@ func runChecker(opts experiments.Options) {
 		panic(err)
 	}
 	rec := trace.NewRecorder(1 << 18)
-	m.SetRecorder(rec)
+	m.Sched.Attach(rec)
 	c := checker.New(m.Sched, rec, checker.Config{S: 250 * sim.Millisecond})
 	c.Start()
 	app, _ := workload.NASAppByName("ep")

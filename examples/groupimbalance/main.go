@@ -20,7 +20,7 @@ func run(fix bool) {
 
 	m := schedsim.NewMachine(topo, cfg, 42)
 	rec := schedsim.NewRecorder(1 << 20)
-	m.SetRecorder(rec)
+	m.Sched.Attach(rec)
 
 	// Two R processes (own ttys) and one make -j64 (a third tty).
 	schedsim.LaunchR(m, topo.CoresOfNode(0)[0], 10*schedsim.Second)

@@ -86,7 +86,7 @@ func ExportPerfetto(sc Scenario, opts RunnerOpts, w io.Writer) (TraceExport, err
 	// seeds the initial runqueue state so derived busy slices and
 	// counter tracks start from truth rather than the first transition.
 	rec := trace.NewRecorder(1 << 21)
-	m.SetRecorder(rec)
+	m.Sched.Attach(rec)
 	rec.Start()
 	m.Sched.EmitSnapshot()
 
@@ -109,7 +109,7 @@ func ExportPerfetto(sc Scenario, opts RunnerOpts, w io.Writer) (TraceExport, err
 	var marks *episodeMarker
 	if opts.Explain {
 		prov = obs.NewProvRing(obs.DefaultProvCap)
-		m.Sched.SetProvenance(prov)
+		m.Sched.Attach(prov)
 		marks = &episodeMarker{}
 		ck.SetEpisodeHook(marks)
 		col.SetStreakHook(marks.onStreak)

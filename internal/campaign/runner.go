@@ -303,7 +303,7 @@ func runScenario(sc Scenario, opts RunnerOpts) Result {
 	var rec *trace.Recorder
 	if opts.Trace {
 		rec = trace.NewRecorder(1 << 16)
-		m.SetRecorder(rec)
+		m.Sched.Attach(rec)
 	}
 	var reg *obs.Registry
 	if opts.Metrics {

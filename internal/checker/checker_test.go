@@ -64,7 +64,7 @@ func brokenScenario(t *testing.T) (*machine.Machine, *Checker, *trace.Recorder) 
 		t.Fatal(err)
 	}
 	rec := trace.NewRecorder(1 << 16)
-	m.SetRecorder(rec)
+	m.Sched.Attach(rec)
 	c := New(m.Sched, rec, Config{S: 100 * sim.Millisecond})
 	c.Start()
 	p := m.NewProc("p", machine.ProcOpts{})

@@ -401,6 +401,10 @@ func TestParseFaultPlan(t *testing.T) {
 	for _, bad := range []string{
 		"explode:nth=1", "kill", "kill:nth=0", "kill:n=1",
 		"delay:nth=1", "delay:nth=1,ms=0", "kill:nth=x",
+		// ms= past the largest time.Duration used to wrap silently
+		// (this one to 448.384µs, which String then printed as ms=0).
+		"delay:nth=1,ms=18446744073710", "delay:nth=1,ms=9223372036855",
+		"kill:nth=1,ms=5",
 	} {
 		if _, err := ParseFaultPlan(bad); err == nil {
 			t.Fatalf("plan %q should not parse", bad)

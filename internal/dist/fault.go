@@ -2,6 +2,7 @@ package dist
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"sync"
@@ -59,6 +60,9 @@ func NewFaultPlan(rules ...FaultRule) *FaultPlan {
 	return &FaultPlan{rules: rules}
 }
 
+// maxDelayMs is the largest ms= value a time.Duration holds.
+const maxDelayMs = int(math.MaxInt64 / int64(time.Millisecond))
+
 // ParseFaultPlan parses the CLI form: semicolon-separated rules, each
 // "kind:nth=N[,ms=M]", e.g. "kill:nth=1" or "delay:nth=2,ms=5000".
 // Empty input returns an empty plan.
@@ -93,6 +97,9 @@ func ParseFaultPlan(spec string) (*FaultPlan, error) {
 			case "nth":
 				r.Nth = n
 			case "ms":
+				if n > maxDelayMs || n < -maxDelayMs {
+					return nil, fmt.Errorf("dist: fault rule %q: ms=%s overflows a duration", part, v)
+				}
 				r.Delay = time.Duration(n) * time.Millisecond
 			default:
 				return nil, fmt.Errorf("dist: fault rule %q: unknown key %q (want nth or ms)", part, k)
@@ -103,6 +110,9 @@ func ParseFaultPlan(spec string) (*FaultPlan, error) {
 		}
 		if r.Kind == FaultDelay && r.Delay <= 0 {
 			return nil, fmt.Errorf("dist: fault rule %q: delay needs ms=<positive>", part)
+		}
+		if r.Kind != FaultDelay && r.Delay != 0 {
+			return nil, fmt.Errorf("dist: fault rule %q: ms applies only to delay rules", part)
 		}
 		p.rules = append(p.rules, r)
 	}

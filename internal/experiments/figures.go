@@ -70,7 +70,7 @@ func Fig2(opts Options) *Fig2Result {
 		cfg.Features.FixGroupImbalance = fix
 		m := machine.New(topo, cfg, opts.Seed)
 		rec := trace.NewRecorder(1 << 21)
-		m.SetRecorder(rec)
+		m.Sched.Attach(rec)
 
 		// Two R processes on different nodes (launched from their own
 		// ttys) and one 64-thread make.
@@ -151,7 +151,7 @@ func Fig3(opts Options) *Fig3Result {
 	cfg := sched.DefaultConfig() // all bugs
 	m := machine.New(topo, cfg, opts.Seed)
 	rec := trace.NewRecorder(1 << 21)
-	m.SetRecorder(rec)
+	m.Sched.Attach(rec)
 	db := workload.NewTPCH(m, workload.TPCHOpts{
 		Containers: []int{32, 16, 16},
 		Autogroups: false, // "we disabled autogroups in this experiment"
@@ -207,7 +207,7 @@ func Fig5(opts Options) *Fig5Result {
 			panic(err)
 		}
 		rec := trace.NewRecorder(1 << 20)
-		m.SetRecorder(rec)
+		m.Sched.Attach(rec)
 		// A 16-thread compute application forked on node 0.
 		p := m.NewProc("app", machine.ProcOpts{})
 		for i := 0; i < 16; i++ {

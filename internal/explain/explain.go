@@ -56,6 +56,7 @@ import (
 	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/topology"
+	"repro/internal/trace"
 )
 
 // Config tunes an Observer.
@@ -232,7 +233,7 @@ type Observer struct {
 	// allocated on the first replay and Reset before each, and the
 	// record buffers a fix replay is compared through.
 	ring                 *obs.ProvRing
-	controlRecs, fixRecs []obs.ProvRecord
+	controlRecs, fixRecs []trace.Event
 
 	pend   *pending
 	report ScenarioExplain
@@ -251,7 +252,7 @@ func NewObserver(m *machine.Machine, cfg Config) *Observer {
 		base: m.Sched.Config().Features,
 		prov: obs.NewProvRing(cfg.ProvCap),
 	}
-	m.Sched.SetProvenance(o.prov)
+	m.Sched.Attach(o.prov)
 	return o
 }
 
@@ -490,7 +491,7 @@ func (o *Observer) runReplay(spec episodeSpec, feats sched.Features, probe *sche
 		return Replay{} // second-level fork cannot realistically fail; stay safe
 	}
 	w.Sched.ApplyFeatures(feats)
-	w.Sched.SetProvenance(o.ring)
+	w.Sched.Attach(o.ring)
 	if probe != nil {
 		w.Sched.SetDivergenceProbe(probe)
 	}
@@ -561,7 +562,7 @@ func violationPresent(s *sched.Scheduler) bool {
 
 // firstDivergence finds the first index where two provenance streams
 // differ, nil when identical (including both empty).
-func firstDivergence(control, fixed []obs.ProvRecord) *Divergence {
+func firstDivergence(control, fixed []trace.Event) *Divergence {
 	n := len(control)
 	if len(fixed) < n {
 		n = len(fixed)

@@ -29,7 +29,8 @@ import (
 //
 // Fork panics when the machine holds state it cannot clone: external
 // hooks (Proc.OnDone, Task.OnDone closures capture the pre-fork world),
-// a trace recorder, or an attached placement policy. Workload drivers
+// a decision sink other than a provenance ring (a trace recorder,
+// metrics), or an attached placement policy. Workload drivers
 // that need those run in the sequential, fork-free path.
 func (m *Machine) Fork() *Machine {
 	eng2 := m.Eng.Fork()

@@ -6,7 +6,6 @@ import (
 	"repro/internal/sched"
 	"repro/internal/sim"
 	"repro/internal/topology"
-	"repro/internal/trace"
 )
 
 // Machine is a complete simulated system: topology + CFS scheduler +
@@ -40,9 +39,6 @@ func New(topo *topology.Topology, cfg sched.Config, seed int64) *Machine {
 	m.Sched.Start()
 	return m
 }
-
-// SetRecorder attaches a trace recorder to the scheduler.
-func (m *Machine) SetRecorder(r *trace.Recorder) { m.Sched.SetRecorder(r) }
 
 // ProcOpts configures process creation.
 type ProcOpts struct {

@@ -80,7 +80,7 @@ type PerfettoOpts struct {
 	// balance verdicts and steal rejections as instants carrying the
 	// group metrics that decided them, wakeup placements and migrations
 	// as flow arrows from the deciding/source core to the chosen core.
-	Prov []ProvRecord
+	Prov []trace.Event
 	// Episodes renders episode onset/detection marks (see EpisodeMark).
 	Episodes []EpisodeMark
 }
@@ -251,33 +251,27 @@ func maskHex(m trace.Mask) string { return fmt.Sprintf("%#x:%#x", m[1], m[0]) }
 // provEvents renders decision-provenance records onto the per-CPU
 // tracks. Flow ids are allocated sequentially from 1 in record order —
 // provenance records are time-ordered, so ids are deterministic.
-func provEvents(prov []ProvRecord) []pfEvent {
+func provEvents(prov []trace.Event) []pfEvent {
 	var out []pfEvent
 	flowID := 0
 	for i := range prov {
 		pr := &prov[i]
 		ts := usec(int64(pr.At))
 		switch pr.Kind {
-		case ProvBalance:
+		case trace.KindBalance:
 			out = append(out, pfEvent{
 				Name: "prov balance " + trace.Verdict(pr.Code).String(),
 				Ph:   "i", S: "t", Cat: "provenance", Ts: ts, Pid: pidCores, Tid: int(pr.CPU) + 1,
 				Args: map[string]any{"op": pr.Op.String(), "moved": pr.Dst,
 					"local_metric": pr.Arg, "busiest_metric": pr.Aux, "busiest_mask": maskHex(pr.Mask)}})
-		case ProvStealReject:
+		case trace.KindStealReject:
 			out = append(out, pfEvent{
 				Name: "prov steal-reject " + trace.Verdict(pr.Code).String(),
 				Ph:   "i", S: "t", Cat: "provenance", Ts: ts, Pid: pidCores, Tid: int(pr.CPU) + 1,
 				Args: map[string]any{"op": pr.Op.String(), "from_cpu": pr.Dst,
 					"busiest_metric": pr.Arg, "busiest_mask": maskHex(pr.Mask)}})
-		case ProvWakeup:
-			path := "original"
-			switch pr.Code {
-			case ProvWakeFixed:
-				path = "fixed"
-			case ProvWakePolicy:
-				path = "policy"
-			}
+		case trace.KindWakeup:
+			path := trace.WakePath(pr.Code)
 			out = append(out, pfEvent{
 				Name: fmt.Sprintf("prov wakeup t%d (%s)", pr.Arg, path),
 				Ph:   "i", S: "t", Cat: "provenance", Ts: ts, Pid: pidCores, Tid: int(pr.Dst) + 1,
@@ -289,12 +283,12 @@ func provEvents(prov []ProvRecord) []pfEvent {
 					ts, ts, int(pr.CPU), int(pr.Dst))
 				out = append(out, fl[0], fl[1])
 			}
-		case ProvMigration:
+		case trace.KindMigration:
 			out = append(out, pfEvent{
-				Name: fmt.Sprintf("prov migrate t%d (%s)", pr.Arg, trace.Op(pr.Code).String()),
+				Name: fmt.Sprintf("prov migrate t%d (%s)", pr.Arg, pr.Op),
 				Ph:   "i", S: "t", Cat: "provenance", Ts: ts, Pid: pidCores, Tid: int(pr.CPU) + 1,
 				Args: map[string]any{"from_cpu": pr.CPU, "to_cpu": pr.Dst,
-					"cause": trace.Op(pr.Code).String()}})
+					"cause": pr.Op.String()}})
 			if pr.CPU != pr.Dst {
 				flowID++
 				fl := flow(flowID, fmt.Sprintf("migrate t%d", pr.Arg), "migration-flow",

@@ -117,16 +117,15 @@ func TestPerfettoProvenanceSchema(t *testing.T) {
 	var considered trace.Mask
 	considered.Set(0)
 	considered.Set(3)
-	prov := []ProvRecord{
-		{At: ms(1), Kind: ProvBalance, Op: trace.OpPeriodicBalance,
+	prov := []trace.Event{
+		{At: ms(1), Kind: trace.KindBalance, Op: trace.OpPeriodicBalance,
 			Code: uint8(trace.VerdictBalanced), CPU: 1, Dst: 2, Arg: 100, Aux: 300, Mask: considered},
-		{At: ms(2), Kind: ProvStealReject, Op: trace.OpNewIdleBalance,
+		{At: ms(2), Kind: trace.KindStealReject, Op: trace.OpNewIdleBalance,
 			Code: uint8(trace.VerdictPinned), CPU: 0, Dst: 3, Arg: 250, Mask: considered},
-		{At: ms(3), Kind: ProvWakeup, Code: ProvWakeOriginal,
+		{At: ms(3), Kind: trace.KindWakeup, Code: trace.WakeOriginal,
 			CPU: 0, Dst: 3, Arg: 7, Aux: 1, Mask: considered},
-		{At: ms(4), Kind: ProvWakeup, Code: ProvWakeFixed, CPU: 2, Dst: 2, Arg: 8},
-		{At: ms(5), Kind: ProvMigration, Op: trace.OpPeriodicBalance,
-			Code: uint8(trace.OpPeriodicBalance), CPU: 3, Dst: 1, Arg: 7},
+		{At: ms(4), Kind: trace.KindWakeup, Code: trace.WakeFixed, CPU: 2, Dst: 2, Arg: 8},
+		{At: ms(5), Kind: trace.KindMigration, Op: trace.OpPeriodicBalance, CPU: 3, Dst: 1, Arg: 7},
 	}
 	episodes := []EpisodeMark{
 		{OnsetNs: int64(ms(1)), DetectedNs: int64(ms(4)), Kind: "checker", IdleCPU: 2, BusyCPU: 0},

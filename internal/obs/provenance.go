@@ -9,116 +9,23 @@ package obs
 // fix replay diverges from the control replay, the first differing
 // provenance record *is* the decision the fix changed.
 //
-// Like every other observability layer in the repo, provenance is
-// opt-in and zero-cost when off: producers guard hook sites with
-// `if prov == nil`, Record is allocation-free (fixed-size records into
-// a preallocated ring, keep-last-N with a drop counter), and nothing
-// here touches wall-clock state, so records are byte-deterministic.
+// A provenance record is a trace.Event of one of the ProvenanceKinds:
+// the ring subscribes to the scheduler's decision stream (sched.Sink)
+// next to any trace recorder, and the scheduler builds each record once
+// for both. Like every other observability layer in the repo,
+// provenance is opt-in and zero-cost when off: a scheduler with no sink
+// subscribed to a kind pays one branch at its hook sites, Record is
+// allocation-free (fixed-size records into a preallocated ring,
+// keep-last-N with a drop counter), and nothing here touches wall-clock
+// state, so records are byte-deterministic.
 
-import (
-	"fmt"
+import "repro/internal/trace"
 
-	"repro/internal/sim"
-	"repro/internal/trace"
-)
-
-// ProvKind discriminates provenance record types.
-type ProvKind uint8
-
-const (
-	// ProvBalance records the outcome of one load-balancing pass: Op is
-	// the balancer flavor, Code the trace.Verdict, Arg the local group's
-	// metric, Aux the busiest group's metric (-1 when none), Mask the
-	// busiest group's cores, CPU the balancing core, Dst the count of
-	// threads moved.
-	ProvBalance ProvKind = iota
-	// ProvStealReject records a steal attempt that moved nothing: CPU is
-	// the would-be thief, Dst the rejecting source core, Code the
-	// trace.Verdict explaining the rejection (pinned or cache-hot), Arg
-	// the busiest group's metric that nominated the source, Mask the
-	// busiest group's cores.
-	ProvStealReject
-	// ProvWakeup records a wakeup placement: CPU is the core the decision
-	// ran against (the previous/affine core), Dst the chosen core, Code
-	// the placement path (see ProvWakeOriginal...), Arg the thread id,
-	// Aux 1 when the chosen core was busy while an allowed core idled,
-	// Mask the considered cores.
-	ProvWakeup
-	// ProvMigration records a thread migration: CPU source, Dst
-	// destination, Arg the thread id, Code the trace.Op cause.
-	ProvMigration
-)
-
-// Wakeup placement paths (ProvWakeup Code values).
-const (
-	// ProvWakeOriginal is the buggy select_task_rq_fair model.
-	ProvWakeOriginal uint8 = iota
-	// ProvWakeFixed is the overload-on-wakeup fix's idle-core scan.
-	ProvWakeFixed
-	// ProvWakePolicy is a placement-policy override.
-	ProvWakePolicy
-)
-
-// String names the kind.
-func (k ProvKind) String() string {
-	switch k {
-	case ProvBalance:
-		return "balance"
-	case ProvStealReject:
-		return "steal-reject"
-	case ProvWakeup:
-		return "wakeup"
-	case ProvMigration:
-		return "migration"
-	default:
-		return fmt.Sprintf("prov(%d)", uint8(k))
-	}
-}
-
-// ProvRecord is one fixed-size provenance record. Field meaning depends
-// on Kind (see the ProvKind constants).
-type ProvRecord struct {
-	At   sim.Time
-	Kind ProvKind
-	Op   trace.Op
-	Code uint8
-	CPU  int32
-	Dst  int32
-	Arg  int64
-	Aux  int64
-	Mask trace.Mask
-}
-
-// String renders one record for humans (explain reports, trace args).
-func (r ProvRecord) String() string {
-	switch r.Kind {
-	case ProvBalance:
-		return fmt.Sprintf("%v balance[%s] cpu%d %s local=%d busiest=%d moved=%d",
-			r.At, r.Op, r.CPU, trace.Verdict(r.Code), r.Arg, r.Aux, r.Dst)
-	case ProvStealReject:
-		return fmt.Sprintf("%v steal-reject cpu%d <- cpu%d %s busiest=%d",
-			r.At, r.CPU, r.Dst, trace.Verdict(r.Code), r.Arg)
-	case ProvWakeup:
-		path := "original"
-		switch r.Code {
-		case ProvWakeFixed:
-			path = "fixed"
-		case ProvWakePolicy:
-			path = "policy"
-		}
-		busy := ""
-		if r.Aux != 0 {
-			busy = " busy-while-idle"
-		}
-		return fmt.Sprintf("%v wakeup t%d cpu%d -> cpu%d path=%s considered=%d%s",
-			r.At, r.Arg, r.CPU, r.Dst, path, r.Mask.Count(), busy)
-	case ProvMigration:
-		return fmt.Sprintf("%v migrate t%d cpu%d -> cpu%d cause=%s",
-			r.At, r.Arg, r.CPU, r.Dst, trace.Op(r.Code))
-	default:
-		return fmt.Sprintf("%v %s", r.At, r.Kind)
-	}
-}
+// ProvenanceKinds are the decision kinds a ProvRing subscribes to: why a
+// balance pass moved or declined to move work, which steal was rejected,
+// where each wakeup was placed and why each migration happened.
+const ProvenanceKinds trace.KindSet = 1<<trace.KindBalance | 1<<trace.KindStealReject |
+	1<<trace.KindWakeup | 1<<trace.KindMigration
 
 // ProvRing is a preallocated keep-last-N ring of provenance records.
 // Like trace.Recorder it bounds memory up front, but where the recorder
@@ -126,10 +33,10 @@ func (r ProvRecord) String() string {
 // divergence analysis needs the records *nearest the episode*, which
 // are always the newest.
 type ProvRing struct {
-	recs    []ProvRecord // preallocated to cap; len grows to cap then wraps
-	head    int          // next write position once full
-	total   uint64       // records ever offered
-	dropped uint64       // records overwritten
+	recs    []trace.Event // preallocated to cap; len grows to cap then wraps
+	head    int           // next write position once full
+	total   uint64        // records ever offered
+	dropped uint64        // records overwritten
 }
 
 // DefaultProvCap is the ring capacity used when NewProvRing is given a
@@ -142,12 +49,22 @@ func NewProvRing(capacity int) *ProvRing {
 	if capacity <= 0 {
 		capacity = DefaultProvCap
 	}
-	return &ProvRing{recs: make([]ProvRecord, 0, capacity)}
+	return &ProvRing{recs: make([]trace.Event, 0, capacity)}
 }
+
+// Kinds, Active and Take make the ring a subscriber of the scheduler's
+// decision stream (sched.Sink): it takes every ProvenanceKinds record.
+func (p *ProvRing) Kinds() trace.KindSet { return ProvenanceKinds }
+
+// Active reports true: a ring records for as long as it is attached.
+func (p *ProvRing) Active() bool { return true }
+
+// Take records ev (see Record).
+func (p *ProvRing) Take(ev trace.Event) { p.Record(ev) }
 
 // Record appends r, overwriting the oldest record when full. It never
 // allocates.
-func (p *ProvRing) Record(r ProvRecord) {
+func (p *ProvRing) Record(r trace.Event) {
 	p.total++
 	if len(p.recs) < cap(p.recs) {
 		p.recs = append(p.recs, r)
@@ -172,7 +89,7 @@ func (p *ProvRing) Len() int { return len(p.recs) }
 
 // Records appends the retained records to dst in time order (oldest
 // first) and returns the extended slice.
-func (p *ProvRing) Records(dst []ProvRecord) []ProvRecord {
+func (p *ProvRing) Records(dst []trace.Event) []trace.Event {
 	if len(p.recs) < cap(p.recs) {
 		return append(dst, p.recs...)
 	}

@@ -10,7 +10,7 @@ import (
 func TestProvRingKeepsNewest(t *testing.T) {
 	p := NewProvRing(4)
 	for i := 0; i < 10; i++ {
-		p.Record(ProvRecord{At: sim.Time(i), Kind: ProvWakeup, Arg: int64(i)})
+		p.Record(trace.Event{At: sim.Time(i), Kind: trace.KindWakeup, Arg: int64(i)})
 	}
 	if p.Total() != 10 {
 		t.Fatalf("Total = %d, want 10", p.Total())
@@ -39,11 +39,11 @@ func TestProvRingKeepsNewest(t *testing.T) {
 func TestProvRingResetAfterWrap(t *testing.T) {
 	p := NewProvRing(4)
 	for i := 0; i < 7; i++ {
-		p.Record(ProvRecord{Arg: int64(i)})
+		p.Record(trace.Event{Arg: int64(i)})
 	}
 	p.Reset()
 	for i := 100; i < 103; i++ {
-		p.Record(ProvRecord{Arg: int64(i)})
+		p.Record(trace.Event{Arg: int64(i)})
 	}
 	recs := p.Records(nil)
 	if len(recs) != 3 || p.Total() != 3 || p.Dropped() != 0 {
@@ -56,7 +56,7 @@ func TestProvRingResetAfterWrap(t *testing.T) {
 		}
 	}
 	allocs := testing.AllocsPerRun(200, func() {
-		p.Record(ProvRecord{Kind: ProvWakeup})
+		p.Record(trace.Event{Kind: trace.KindWakeup})
 	})
 	if allocs != 0 {
 		t.Fatalf("Record after Reset allocates %.1f/op, want 0", allocs)
@@ -65,8 +65,8 @@ func TestProvRingResetAfterWrap(t *testing.T) {
 
 func TestProvRingRecordsPartial(t *testing.T) {
 	p := NewProvRing(8)
-	p.Record(ProvRecord{At: 1})
-	p.Record(ProvRecord{At: 2})
+	p.Record(trace.Event{At: 1})
+	p.Record(trace.Event{At: 2})
 	recs := p.Records(nil)
 	if len(recs) != 2 || recs[0].At != 1 || recs[1].At != 2 {
 		t.Fatalf("partial ring order wrong: %+v", recs)
@@ -78,7 +78,7 @@ func TestProvRingRecordsPartial(t *testing.T) {
 // records into the same reset ring, whose cost must stay predictable.
 func TestProvRingRecordAllocFree(t *testing.T) {
 	p := NewProvRing(16)
-	rec := ProvRecord{Kind: ProvBalance, Op: trace.OpPeriodicBalance}
+	rec := trace.Event{Kind: trace.KindBalance, Op: trace.OpPeriodicBalance}
 	allocs := testing.AllocsPerRun(200, func() {
 		p.Record(rec)
 	})
@@ -87,24 +87,34 @@ func TestProvRingRecordAllocFree(t *testing.T) {
 	}
 }
 
+// TestProvRecordString pins the text of each provenance record kind:
+// explain reports quote it in their first-divergence strings.
 func TestProvRecordString(t *testing.T) {
 	var mask trace.Mask
 	mask.Set(3)
+	mask.Set(5)
 	cases := []struct {
-		r    ProvRecord
+		r    trace.Event
 		want string
 	}{
-		{ProvRecord{At: 1000, Kind: ProvBalance, Op: trace.OpPeriodicBalance, CPU: 2, Arg: 7, Aux: 9, Dst: 1},
-			""},
-		{ProvRecord{At: 1000, Kind: ProvWakeup, CPU: 0, Dst: 4, Arg: 12, Aux: 1, Code: ProvWakeFixed, Mask: mask},
-			""},
+		{trace.Event{At: 1000, Kind: trace.KindBalance, Op: trace.OpPeriodicBalance, CPU: 2, Arg: 7, Aux: 9, Dst: 1},
+			"1µs balance[periodic] cpu2 moved local=7 busiest=9 moved=1"},
+		{trace.Event{At: 1000, Kind: trace.KindStealReject, Op: trace.OpNewIdleBalance,
+			Code: uint8(trace.VerdictPinned), CPU: 1, Dst: 6, Arg: 300, Mask: mask},
+			"1µs steal-reject cpu1 <- cpu6 pinned busiest=300"},
+		{trace.Event{At: 1000, Kind: trace.KindWakeup, CPU: 0, Dst: 4, Arg: 12, Aux: 1, Code: trace.WakeFixed, Mask: mask},
+			"1µs wakeup t12 cpu0 -> cpu4 path=fixed considered=2 busy-while-idle"},
+		{trace.Event{At: 1000, Kind: trace.KindWakeup, CPU: 3, Dst: 3, Arg: 5, Code: trace.WakeOriginal},
+			"1µs wakeup t5 cpu3 -> cpu3 path=original considered=0"},
+		{trace.Event{At: 1000, Kind: trace.KindMigration, Op: trace.OpHotplug, CPU: 3, Dst: 1, Arg: 7},
+			"1µs migrate t7 cpu3 -> cpu1 cause=hotplug"},
 	}
 	for _, c := range cases {
-		if s := c.r.String(); s == "" {
-			t.Fatalf("empty String() for %+v", c.r)
+		if s := c.r.String(); s != c.want {
+			t.Errorf("String() = %q, want %q", s, c.want)
 		}
 	}
-	if ProvStealReject.String() != "steal-reject" {
-		t.Fatalf("kind string: %s", ProvStealReject)
+	if trace.KindStealReject.String() != "steal-reject" || trace.KindWakeup.String() != "wakeup" {
+		t.Fatalf("kind strings: %s, %s", trace.KindStealReject, trace.KindWakeup)
 	}
 }

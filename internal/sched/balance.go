@@ -3,7 +3,6 @@ package sched
 import (
 	"math/bits"
 
-	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/topology"
 	"repro/internal/trace"
@@ -276,11 +275,40 @@ func (s *Scheduler) nohzBalanceAll(self *CPU) {
 // level: compute group statistics, pick the busiest group, compare with
 // the local group, and steal from the busiest core of that group —
 // retrying with exclusion when tasksets prevent migration (lines 20–22).
-// It returns the number of threads pulled to c.
+// It returns the number of threads pulled to c, and records the
+// decision with the group metrics it compared — the §4.1 profiling data
+// ("the values of the variables they use") that explains why a balance
+// call moved nothing.
 func (s *Scheduler) loadBalance(c *CPU, d *Domain, level int, op trace.Op) int {
 	s.counters.BalanceCalls++
-	s.traceConsidered(c.id, op, d.Span)
+	if s.wants(trace.KindConsidered) {
+		s.emit(trace.Event{At: s.eng.Now(), Kind: trace.KindConsidered, Op: op,
+			CPU: int32(c.id), Mask: d.Span.TraceMask()})
+	}
+	v, local, busiest, moved := s.balanceLevel(c, d, level, op)
+	if local != nil && s.wants(trace.KindBalance) {
+		ml := s.metric(local)
+		ev := trace.Event{At: s.eng.Now(), Kind: trace.KindBalance, Op: op, Code: uint8(v),
+			CPU: int32(c.id), Dst: int32(moved), Arg: int64(ml), Aux: -1}
+		s.balanceGap = 0
+		if busiest != nil {
+			mb := s.metric(busiest)
+			ev.Aux = int64(mb)
+			ev.Mask = busiest.set.TraceMask()
+			if v != trace.VerdictMoved {
+				s.balanceGap = mb - ml
+			}
+		}
+		s.emit(ev)
+	}
+	return moved
+}
 
+// balanceLevel runs one loadBalance pass and returns its verdict, the
+// local and busiest group statistics it compared (local is nil when c
+// has no group at this level, busiest nil when no group had stealable
+// threads) and the number of threads moved.
+func (s *Scheduler) balanceLevel(c *CPU, d *Domain, level int, op trace.Op) (trace.Verdict, *groupStats, *groupStats, int) {
 	// Fill the reused scratch buffers. Capacity is ensured up front so
 	// the value buffer never reallocates underneath the pointers taken
 	// into it.
@@ -305,7 +333,7 @@ func (s *Scheduler) loadBalance(c *CPU, d *Domain, level int, op trace.Op) int {
 		}
 	}
 	if local == nil {
-		return 0
+		return trace.VerdictNoBusiest, nil, nil, 0
 	}
 
 	// Line 13: prefer overloaded groups, then taskset-imbalanced groups,
@@ -322,8 +350,7 @@ func (s *Scheduler) loadBalance(c *CPU, d *Domain, level int, op trace.Op) int {
 		probeGI = false
 	}
 	if busiest == nil {
-		s.traceBalance(c, op, trace.VerdictNoBusiest, local, nil, 0)
-		return 0
+		return trace.VerdictNoBusiest, local, nil, 0
 	}
 	// Lines 15–16: balanced at this level.
 	balanced := metricWith(busiest, gi) <= metricWith(local, gi)
@@ -332,8 +359,7 @@ func (s *Scheduler) loadBalance(c *CPU, d *Domain, level int, op trace.Op) int {
 		probeGI = false
 	}
 	if balanced {
-		s.traceBalance(c, op, trace.VerdictBalanced, local, busiest, 0)
-		return 0
+		return trace.VerdictBalanced, local, busiest, 0
 	}
 
 	// How much load to move: half the average-load gap (the fix changes
@@ -358,90 +384,37 @@ func (s *Scheduler) loadBalance(c *CPU, d *Domain, level int, op trace.Op) int {
 			if sawPinned {
 				verdict = trace.VerdictPinned
 			}
-			s.traceBalance(c, op, verdict, local, busiest, 0)
-			return 0
+			return verdict, local, busiest, 0
 		}
 		moved, pinnedOnly := s.moveTasks(s.cpus[bcpu], c, imbalance, level)
 		if moved > 0 {
 			c.balanceFailed[level] = 0
 			s.cpus[bcpu].pinnedFailure = false
-			s.traceBalance(c, op, trace.VerdictMoved, local, busiest, moved)
-			return moved
+			return trace.VerdictMoved, local, busiest, moved
 		}
+		// The steal moved nothing: every candidate thread was pinned
+		// away or cache-hot. This is the §3.1 evidence at its finest
+		// grain — the exact core whose threads the balancer looked at
+		// and declined.
+		reject := trace.VerdictHot
 		if pinnedOnly {
-			// Line 20–21: "load cannot be balanced due to tasksets":
-			// exclude busiest cpu and retry; flag the group so parent
-			// levels see it as imbalanced.
-			s.provStealReject(c, bcpu, op, trace.VerdictPinned, busiest)
-			s.cpus[bcpu].pinnedFailure = true
-			sawPinned = true
-			excluded.Set(bcpu)
-			continue
+			reject = trace.VerdictPinned
 		}
-		s.provStealReject(c, bcpu, op, trace.VerdictHot, busiest)
-		c.balanceFailed[level]++
-		s.traceBalance(c, op, trace.VerdictHot, local, busiest, 0)
-		return 0
-	}
-}
-
-// traceBalance records one balancing decision with the group metrics it
-// compared — the §4.1 profiling data ("the values of the variables they
-// use") that explains why a balance call moved nothing.
-func (s *Scheduler) traceBalance(c *CPU, op trace.Op, v trace.Verdict, local, busiest *groupStats, moved int) {
-	if s.mx != nil {
-		s.mx.observeBalance(s, v, local, busiest)
-	}
-	if s.prov != nil {
-		// Recorded independently of the trace recorder: provenance is the
-		// explain layer's view, active even when no full trace is running.
-		r := obs.ProvRecord{
-			At: s.eng.Now(), Kind: obs.ProvBalance, Op: op, Code: uint8(v),
-			CPU: int32(c.id), Dst: int32(moved),
-			Arg: int64(s.metric(local)), Aux: -1,
+		if s.wants(trace.KindStealReject) {
+			s.emit(trace.Event{At: s.eng.Now(), Kind: trace.KindStealReject, Op: op, Code: uint8(reject),
+				CPU: int32(c.id), Dst: int32(bcpu), Arg: int64(s.metric(busiest)), Mask: busiest.set.TraceMask()})
 		}
-		if busiest != nil {
-			r.Aux = int64(s.metric(busiest))
-			r.Mask = busiest.set.TraceMask()
+		if !pinnedOnly {
+			c.balanceFailed[level]++
+			return trace.VerdictHot, local, busiest, 0
 		}
-		s.prov.Record(r)
+		// Line 20–21: "load cannot be balanced due to tasksets":
+		// exclude busiest cpu and retry; flag the group so parent
+		// levels see it as imbalanced.
+		s.cpus[bcpu].pinnedFailure = true
+		sawPinned = true
+		excluded.Set(bcpu)
 	}
-	if s.rec == nil || !s.rec.Active() {
-		return
-	}
-	ev := trace.Event{
-		At:   s.eng.Now(),
-		Kind: trace.KindBalance,
-		Op:   op,
-		Code: uint8(v),
-		CPU:  int32(c.id),
-		Arg:  int64(s.metric(local)),
-		Aux:  -1,
-	}
-	if busiest != nil {
-		ev.Aux = int64(s.metric(busiest))
-		ev.Mask = busiest.set.TraceMask()
-	}
-	if v == trace.VerdictMoved {
-		ev.Aux = int64(moved) // reuse: metric is uninteresting once moved
-	}
-	s.rec.Record(ev)
-}
-
-// provStealReject records a steal attempt that moved nothing: the
-// balancing core c nominated bcpu from the busiest group, but every
-// candidate thread was pinned away (VerdictPinned) or cache-hot
-// (VerdictHot). This is the §3.1 evidence at its finest grain — the
-// exact core whose threads the balancer looked at and declined.
-func (s *Scheduler) provStealReject(c *CPU, bcpu topology.CoreID, op trace.Op, v trace.Verdict, busiest *groupStats) {
-	if s.prov == nil {
-		return
-	}
-	s.prov.Record(obs.ProvRecord{
-		At: s.eng.Now(), Kind: obs.ProvStealReject, Op: op, Code: uint8(v),
-		CPU: int32(c.id), Dst: int32(bcpu),
-		Arg: int64(s.metric(busiest)), Mask: busiest.set.TraceMask(),
-	})
 }
 
 // pickBusiestGroup implements line 13 of Algorithm 1 under the given

@@ -1,6 +1,9 @@
 package sched
 
 import (
+	"fmt"
+
+	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -24,22 +27,21 @@ func (s *Scheduler) GroupByID(id int) *TaskGroup { return s.groups[id] }
 // their original (time, sequence) positions, so the clone's event queue
 // pops in source order. Domain hierarchies are shared (immutable after
 // construction). Hooks are reset to no-ops — the caller wires the cloned
-// machine in — and the latency probe, divergence probe and provenance
-// ring start unset (a counterfactual replay attaches fresh ones, so the
+// machine in — and the latency probe, divergence probe and decision
+// sinks start unset (a counterfactual replay attaches fresh ones, so the
 // two worlds' evidence streams stay independent).
 //
-// Attached observers that record into external sinks (trace recorder,
-// metrics, placement policy) cannot be cloned meaningfully; Clone panics
-// if any is installed.
+// A placement policy, and any sink but a provenance ring (a trace
+// recorder, metrics: one whole-run view a fork would split), cannot be
+// cloned meaningfully; Clone panics while one is attached.
 func (s *Scheduler) Clone(eng *sim.Engine) *Scheduler {
-	if s.rec != nil {
-		panic("sched: Clone with a trace recorder attached")
-	}
 	if s.policy != nil {
 		panic("sched: Clone with a placement policy attached")
 	}
-	if s.mx != nil {
-		panic("sched: Clone with metrics attached")
+	for _, sub := range s.sinks {
+		if _, ring := sub.Sink.(*obs.ProvRing); !ring {
+			panic(fmt.Sprintf("sched: Clone with a %T sink attached", sub.Sink))
+		}
 	}
 	ns := &Scheduler{
 		eng:            eng,

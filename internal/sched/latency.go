@@ -39,9 +39,6 @@ type LatencyProbe interface {
 // SetLatencyProbe installs (or clears, with nil) the latency probe.
 func (s *Scheduler) SetLatencyProbe(p LatencyProbe) { s.latProbe = p }
 
-// LatencyProbeAttached reports whether a probe is installed.
-func (s *Scheduler) LatencyProbeAttached() bool { return s.latProbe != nil }
-
 // markWaiting stamps the start of a runqueue-wait span on t. Called on
 // every transition to Runnable that begins a wait (enqueueThread for
 // forks and wakeups, schedule for preemptions, DisableCPU for hotplug
@@ -63,20 +60,4 @@ func (s *Scheduler) observeWaitEnd(c *CPU, t *Thread) {
 	}
 	now := s.eng.Now()
 	s.latProbe.WaitEnd(now, t, c.id, now-t.waitSince, t.waitWakeup)
-}
-
-// observeWakeupPlaced reports a wakeup placement to the probe, deciding
-// whether an allowed idle core existed at that instant.
-func (s *Scheduler) observeWakeupPlaced(t *Thread, cpu topology.CoreID, busy bool) {
-	if s.latProbe == nil {
-		return
-	}
-	idleAllowed := false
-	for id := s.idleHead; id >= 0; id = s.cpus[id].idleNext {
-		if t.affinity.Has(id) && s.cpus[id].online && s.cpus[id].idle() {
-			idleAllowed = true
-			break
-		}
-	}
-	s.latProbe.WakeupPlaced(s.eng.Now(), t, cpu, busy, idleAllowed)
 }

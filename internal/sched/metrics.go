@@ -6,11 +6,12 @@ import (
 )
 
 // Metrics is the scheduler's observability surface: the hook-driven
-// instruments that cannot be derived by sampling scheduler state. It is
-// attached with AttachObs and consulted through a single nil check on
-// the hot paths — exactly the trace-recorder / latency-probe pattern —
-// so a scheduler without metrics pays one predictable branch.
+// instruments that cannot be derived by sampling scheduler state. AttachObs
+// subscribes it to the decision stream's balance records, like any other
+// Sink, so a scheduler without metrics pays nothing extra on the hot
+// paths.
 type Metrics struct {
+	s *Scheduler
 	// verdicts counts load-balance outcomes by trace.Verdict — the §4.1
 	// profile that exposed the Group Imbalance bug ("why they failed to
 	// balance the load").
@@ -21,24 +22,29 @@ type Metrics struct {
 	imbalance *obs.Histogram
 }
 
-// observeBalance is the traceBalance hook body (kept out of line so the
-// nil-check fast path stays tiny).
-func (mx *Metrics) observeBalance(s *Scheduler, v trace.Verdict, local, busiest *groupStats) {
-	mx.verdicts[v].Inc()
-	if busiest != nil && v != trace.VerdictMoved {
-		if gap := s.metric(busiest) - s.metric(local); gap > 0 {
-			mx.imbalance.Observe(int64(gap * 1000))
-		}
+// Kinds subscribes Metrics to balance records (Sink).
+func (mx *Metrics) Kinds() trace.KindSet { return 1 << trace.KindBalance }
+
+// Active reports true: metrics observe every balance pass (Sink).
+func (mx *Metrics) Active() bool { return true }
+
+// Take counts a balance verdict and observes the imbalance the balancer
+// saw (Sink). The record's metrics are truncated to integers, so the gap
+// comes exact from the scheduler that emitted it.
+func (mx *Metrics) Take(ev trace.Event) {
+	mx.verdicts[ev.Code].Inc()
+	if gap := mx.s.balanceGap; gap > 0 {
+		mx.imbalance.Observe(int64(gap * 1000))
 	}
 }
 
-// AttachObs registers the scheduler's instruments on reg and installs
-// the hook-driven Metrics. Sampled series read live scheduler state on
-// the registry's cadence (no hot-path cost at all); only the balance
-// verdicts and the imbalance histogram need hooks. Call once per
-// scheduler; the returned Metrics is also retained internally.
+// AttachObs registers the scheduler's instruments on reg and attaches
+// the hook-driven Metrics as a decision-stream sink. Sampled series read
+// live scheduler state on the registry's cadence (no hot-path cost at
+// all); only the balance verdicts and the imbalance histogram need
+// hooks. Call once per scheduler.
 func (s *Scheduler) AttachObs(reg *obs.Registry) *Metrics {
-	mx := &Metrics{imbalance: reg.Histogram("sched/balance_imbalance_milli")}
+	mx := &Metrics{s: s, imbalance: reg.Histogram("sched/balance_imbalance_milli")}
 	for v := trace.VerdictMoved; v <= trace.VerdictHot; v++ {
 		mx.verdicts[v] = reg.Counter("sched/balance_"+v.String(), -1)
 	}
@@ -70,10 +76,6 @@ func (s *Scheduler) AttachObs(reg *obs.Registry) *Metrics {
 	reg.Sampled("sched/wakeups_on_idle", -1, obs.KindCounter, func() int64 { return int64(s.counters.WakeupsOnIdle) })
 	reg.Sampled("sched/wakeups_on_busy", -1, obs.KindCounter, func() int64 { return int64(s.counters.WakeupsOnBusy) })
 
-	s.mx = mx
+	s.Attach(mx)
 	return mx
 }
-
-// DetachObs removes the hook-driven metrics (sampled series keep
-// whatever the registry retained).
-func (s *Scheduler) DetachObs() { s.mx = nil }

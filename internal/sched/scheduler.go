@@ -25,7 +25,6 @@ package sched
 import (
 	"fmt"
 
-	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/topology"
 	"repro/internal/trace"
@@ -67,12 +66,19 @@ type Scheduler struct {
 	cfg      Config
 	cpus     []*CPU
 	hooks    Hooks
-	rec      *trace.Recorder
 	policy   PlacementPolicy
 	latProbe LatencyProbe
-	mx       *Metrics         // observability hooks (nil = disabled, see AttachObs)
 	probe    *DivergenceProbe // fix-divergence watcher (nil = disabled, see fork.go)
-	prov     *obs.ProvRing    // decision provenance (nil = disabled, see SetProvenance)
+
+	// The decision stream (stream.go): attached sinks and the union of
+	// the kinds they subscribe to (zero = every hook site is one branch).
+	sinks []subscription
+	kinds trace.KindSet
+	// balanceGap is the exact busiest-minus-local metric gap behind the
+	// balance record being emitted (0 when there was no busiest group or
+	// threads moved). Records carry the metrics truncated to integers;
+	// the imbalance histogram (Metrics) needs the exact value.
+	balanceGap float64
 
 	// Idle cores form an intrusive doubly-linked list through the CPU
 	// structs, ordered by idleSince ascending (head = longest idle, the
@@ -186,21 +192,6 @@ func (s *Scheduler) SetHooks(h Hooks) {
 	}
 	s.hooks = h
 }
-
-// SetRecorder attaches a trace recorder (may be nil).
-func (s *Scheduler) SetRecorder(r *trace.Recorder) { s.rec = r }
-
-// Recorder returns the attached trace recorder, or nil.
-func (s *Scheduler) Recorder() *trace.Recorder { return s.rec }
-
-// SetProvenance attaches a decision-provenance ring (may be nil). While
-// attached, every balance pass, steal rejection, wakeup placement and
-// migration records its cause; detached (the default), each hook site
-// is one nil check.
-func (s *Scheduler) SetProvenance(p *obs.ProvRing) { s.prov = p }
-
-// Provenance returns the attached provenance ring, or nil.
-func (s *Scheduler) Provenance() *obs.ProvRing { return s.prov }
 
 // IdleSince returns the virtual instant cpu last went idle. Only
 // meaningful while the core is idle (IsIdle); the checker uses it to
@@ -318,10 +309,13 @@ func (s *Scheduler) StartThreadOn(t *Thread, cpu topology.CoreID) {
 	c := s.cpus[cpu]
 	s.counters.Forks++
 	s.enqueueThread(c, t, enqFork)
-	if s.rec != nil && s.rec.Active() {
-		s.rec.Record(trace.Event{At: s.eng.Now(), Kind: trace.KindFork, CPU: int32(cpu), Arg: int64(t.id)})
+	if s.wants(trace.KindFork) {
+		s.emit(trace.Event{At: s.eng.Now(), Kind: trace.KindFork, CPU: int32(cpu), Arg: int64(t.id)})
 	}
-	s.traceConsidered(cpu, trace.OpFork, NewCPUSet(cpu))
+	if s.wants(trace.KindConsidered) {
+		s.emit(trace.Event{At: s.eng.Now(), Kind: trace.KindConsidered, Op: trace.OpFork,
+			CPU: int32(cpu), Mask: NewCPUSet(cpu).TraceMask()})
+	}
 	if c.idle() || c.curr == nil {
 		s.resched(c)
 	} else {
@@ -347,8 +341,7 @@ func (s *Scheduler) BlockCurrent(t *Thread, st ThreadState) {
 	c.curr = nil
 	s.occSync(c)
 	s.adjustOccupancy()
-	s.traceNr(c)
-	s.traceLoad(c)
+	s.emitRQ(c)
 	s.hooks.ThreadStopped(c.id, t, StopBlocked)
 	s.schedule(c)
 }
@@ -369,10 +362,9 @@ func (s *Scheduler) ExitCurrent(t *Thread) {
 	c.curr = nil
 	s.occSync(c)
 	s.adjustOccupancy()
-	s.traceNr(c)
-	s.traceLoad(c)
-	if s.rec != nil && s.rec.Active() {
-		s.rec.Record(trace.Event{At: now, Kind: trace.KindExit, CPU: int32(c.id), Arg: int64(t.id)})
+	s.emitRQ(c)
+	if s.wants(trace.KindExit) {
+		s.emit(trace.Event{At: now, Kind: trace.KindExit, CPU: int32(c.id), Arg: int64(t.id)})
 	}
 	s.hooks.ThreadStopped(c.id, t, StopExited)
 	s.schedule(c)
@@ -387,8 +379,8 @@ func (s *Scheduler) Wake(t *Thread, waker *Thread) {
 	}
 	s.counters.Wakeups++
 	t.nrWakeups++
-	cpu := s.selectTaskRQ(t, waker)
-	c := s.cpus[cpu]
+	pl := s.selectTaskRQ(t, waker)
+	c := s.cpus[pl.cpu]
 	busy := !c.idle()
 	if busy {
 		t.wokenOnBusyCore++
@@ -397,7 +389,7 @@ func (s *Scheduler) Wake(t *Thread, waker *Thread) {
 		t.wokenOnIdleCore++
 		s.counters.WakeupsOnIdle++
 	}
-	s.observeWakeupPlaced(t, cpu, busy)
+	s.wakePlaced(t, pl, busy)
 	s.enqueueThread(c, t, enqWakeup)
 	if c.curr == nil {
 		s.resched(c)
@@ -437,14 +429,15 @@ func (s *Scheduler) migrateThread(t *Thread, src, dst *CPU, op trace.Op) {
 	t.cpu = dst.id
 	t.nrMigrations++
 	s.counters.Migrations++
-	s.traceNr(src)
-	s.traceLoad(src)
+	s.emitRQ(src)
 	dst.rq.enqueue(t)
 	dst.rq.updateMinVruntime(dst.curr)
 	s.occSync(dst)
-	s.traceNr(dst)
-	s.traceLoad(dst)
-	s.traceMigration(t, src.id, dst.id, op)
+	s.emitRQ(dst)
+	if s.wants(trace.KindMigration) {
+		s.emit(trace.Event{At: s.eng.Now(), Kind: trace.KindMigration, Op: op,
+			CPU: int32(src.id), Dst: int32(dst.id), Arg: int64(t.id)})
+	}
 	if dst.curr == nil {
 		s.resched(dst)
 	}

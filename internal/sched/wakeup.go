@@ -1,7 +1,6 @@
 package sched
 
 import (
-	"repro/internal/obs"
 	"repro/internal/topology"
 	"repro/internal/trace"
 )
@@ -41,8 +40,18 @@ type PlacementPolicy interface {
 // SetPlacementPolicy installs (or clears, with nil) a placement policy.
 func (s *Scheduler) SetPlacementPolicy(p PlacementPolicy) { s.policy = p }
 
+// wakePlacement is one wakeup decision: the chosen core and the evidence
+// the decision stream records about it.
+type wakePlacement struct {
+	cpu        topology.CoreID // the chosen core
+	prev       topology.CoreID // the core the decision ran against
+	target     topology.CoreID // the core the considered-cores record names
+	considered CPUSet
+	path       uint8 // trace.WakeOriginal, WakeFixed or WakePolicy
+}
+
 // selectTaskRQ picks the core on which to enqueue a waking thread.
-func (s *Scheduler) selectTaskRQ(t *Thread, waker *Thread) topology.CoreID {
+func (s *Scheduler) selectTaskRQ(t *Thread, waker *Thread) wakePlacement {
 	allowed := t.affinity.And(s.onlineSet())
 	if allowed.Empty() {
 		// Hotplug took every allowed core offline while the thread
@@ -58,9 +67,7 @@ func (s *Scheduler) selectTaskRQ(t *Thread, waker *Thread) topology.CoreID {
 
 	if s.policy != nil {
 		if cpu, ok := s.policy.PlaceWakeup(t, waker, prev, allowed); ok && allowed.Has(cpu) {
-			s.traceConsidered(cpu, trace.OpWakeup, allowed)
-			s.provWakeup(t, prev, cpu, allowed, obs.ProvWakePolicy)
-			return cpu
+			return wakePlacement{cpu, prev, cpu, allowed, trace.WakePolicy}
 		}
 	}
 
@@ -80,43 +87,48 @@ func (s *Scheduler) selectTaskRQ(t *Thread, waker *Thread) topology.CoreID {
 
 	if s.cfg.Features.FixOverloadWakeup && s.cfg.Power == PowerPerformance {
 		if cpu, ok := s.fixedWakeupTarget(prev, allowed); ok {
-			s.traceConsidered(cpu, trace.OpWakeup, s.onlineSet().And(allowed))
-			s.provWakeup(t, prev, cpu, s.onlineSet().And(allowed), obs.ProvWakeFixed)
-			return cpu
+			return wakePlacement{cpu, prev, cpu, s.onlineSet().And(allowed), trace.WakeFixed}
 		}
 		// No idle core anywhere: fall back to the original algorithm.
 	}
-	cpu, considered := s.originalWakeupTarget(t, waker, prev, allowed)
+	cpu, target, considered := s.originalWakeupTarget(t, waker, prev, allowed)
 	if p := s.probe; p != nil && p.Armed.FixOverloadWakeup && !p.Fired.FixOverloadWakeup &&
 		!s.cfg.Features.FixOverloadWakeup && s.cfg.Power == PowerPerformance {
 		if fcpu, ok := s.fixedWakeupTarget(prev, allowed); ok && fcpu != cpu {
 			p.Fired.FixOverloadWakeup = true
 		}
 	}
-	s.provWakeup(t, prev, cpu, considered, obs.ProvWakeOriginal)
-	return cpu
+	return wakePlacement{cpu, prev, target, considered, trace.WakeOriginal}
 }
 
-// provWakeup records one wakeup placement decision: the previous core
-// the decision ran against, the chosen core, the set of cores actually
-// considered (the §3.3 evidence — a node-scoped mask is the bug's
-// signature), and whether the choice put the thread on a busy core
-// while an allowed core sat idle.
-func (s *Scheduler) provWakeup(t *Thread, prev, chosen topology.CoreID, considered CPUSet, path uint8) {
-	if s.prov == nil {
-		return
+// wakePlaced emits a wakeup decision's records and reports it to the
+// latency probe: the cores considered, the placement (the §3.3
+// evidence — a node-scoped mask is the bug's signature), and whether
+// the choice put the thread on a busy core while an allowed core sat
+// idle. That fact needs an idle-list scan, done once for both the
+// placement record and the probe.
+func (s *Scheduler) wakePlaced(t *Thread, pl wakePlacement, busy bool) {
+	now := s.eng.Now()
+	if s.wants(trace.KindConsidered) {
+		s.emit(trace.Event{At: now, Kind: trace.KindConsidered, Op: trace.OpWakeup,
+			CPU: int32(pl.target), Mask: pl.considered.TraceMask()})
 	}
-	var aux int64
-	if !s.cpus[chosen].idle() {
-		if _, ok := s.LongestIdle(t.affinity.And(s.onlineSet())); ok {
-			aux = 1
+	record := s.wants(trace.KindWakeup)
+	idleAllowed := false
+	if s.latProbe != nil || record && busy {
+		_, idleAllowed = s.LongestIdle(t.affinity.And(s.onlineSet()))
+	}
+	if record {
+		ev := trace.Event{At: now, Kind: trace.KindWakeup, Op: trace.OpWakeup, Code: pl.path,
+			CPU: int32(pl.prev), Dst: int32(pl.cpu), Arg: int64(t.id), Mask: pl.considered.TraceMask()}
+		if busy && idleAllowed {
+			ev.Aux = 1
 		}
+		s.emit(ev)
 	}
-	s.prov.Record(obs.ProvRecord{
-		At: s.eng.Now(), Kind: obs.ProvWakeup, Op: trace.OpWakeup, Code: path,
-		CPU: int32(prev), Dst: int32(chosen), Arg: int64(t.id), Aux: aux,
-		Mask: considered.TraceMask(),
-	})
+	if s.latProbe != nil {
+		s.latProbe.WakeupPlaced(now, t, pl.cpu, busy, idleAllowed)
+	}
 }
 
 // fixedWakeupTarget implements the paper's fix: previous core if idle,
@@ -150,7 +162,9 @@ func (s *Scheduler) LongestIdle(allowed CPUSet) (topology.CoreID, bool) {
 // an idle core only within the target's node (the LLC domain). When the
 // whole node is busy the thread is enqueued on the target core even though
 // other nodes may have idle cores — the Overload-on-Wakeup bug.
-func (s *Scheduler) originalWakeupTarget(t *Thread, waker *Thread, prev topology.CoreID, allowed CPUSet) (topology.CoreID, CPUSet) {
+// It returns the chosen core, the target core the search ran from, and
+// the cores it considered.
+func (s *Scheduler) originalWakeupTarget(t *Thread, waker *Thread, prev topology.CoreID, allowed CPUSet) (topology.CoreID, topology.CoreID, CPUSet) {
 	target := prev
 	if waker != nil && waker.cpu >= 0 && s.cpus[waker.cpu].online && allowed.Has(waker.cpu) {
 		wcpu := waker.cpu
@@ -177,21 +191,20 @@ func (s *Scheduler) originalWakeupTarget(t *Thread, waker *Thread, prev topology
 			cands.Clear(id)
 		}
 	})
-	s.traceConsidered(target, trace.OpWakeup, cands)
 	if cands.Empty() {
-		return allowed.First(), cands
+		return allowed.First(), target, cands
 	}
 
 	// select_idle_sibling order: target, prev, target's SMT sibling,
 	// then any idle core of the node.
 	if cands.Has(target) && s.cpus[target].idle() {
-		return target, cands
+		return target, target, cands
 	}
 	if cands.Has(prev) && s.cpus[prev].idle() {
-		return prev, cands
+		return prev, target, cands
 	}
 	if sib, ok := s.topo.SMTSibling(target); ok && cands.Has(sib) && s.cpus[sib].idle() {
-		return sib, cands
+		return sib, target, cands
 	}
 	found := topology.CoreID(-1)
 	cands.ForEach(func(id topology.CoreID) {
@@ -200,12 +213,12 @@ func (s *Scheduler) originalWakeupTarget(t *Thread, waker *Thread, prev topology
 		}
 	})
 	if found >= 0 {
-		return found, cands
+		return found, target, cands
 	}
 	// Node fully busy: wake on the target core anyway — the bug. Idle
 	// cores on other nodes are never considered.
 	if cands.Has(target) {
-		return target, cands
+		return target, target, cands
 	}
-	return cands.First(), cands
+	return cands.First(), target, cands
 }

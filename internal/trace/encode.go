@@ -107,7 +107,10 @@ func ReadMeta(rd io.Reader) ([]Event, Meta, error) {
 	if count > sane {
 		return nil, meta, fmt.Errorf("trace: implausible event count %d", count)
 	}
-	events := make([]Event, 0, count)
+	// The count is untrusted: preallocate a bounded prefix and let append
+	// grow a genuinely large trace, so a corrupt header fails at EOF
+	// instead of forcing a multi-gigabyte allocation.
+	events := make([]Event, 0, min(count, 1<<16))
 	buf := make([]byte, recordSize)
 	for i := uint64(0); i < count; i++ {
 		if _, err := io.ReadFull(br, buf); err != nil {

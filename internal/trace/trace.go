@@ -21,7 +21,8 @@ import (
 
 // Kind discriminates event types, matching the three instrumentation
 // families of §4.2 plus migrations (used by the sanity checker's monitoring
-// phase, §4.1).
+// phase, §4.1) and the decision-provenance kinds (steal rejections and
+// wakeup placements) that only a provenance ring subscribes to.
 type Kind uint8
 
 // Event kinds.
@@ -33,7 +34,9 @@ const (
 	// KindConsidered records the set of cores examined by a load-balancing
 	// or wakeup decision.
 	KindConsidered
-	// KindMigration records a thread moving between cores.
+	// KindMigration records a thread moving between cores: CPU is the
+	// source, Arg the thread id, Op the cause, and the destination is in
+	// Dst (in Aux in the trace form, see Recorder.Take).
 	KindMigration
 	// KindFork records thread creation, KindExit thread exit. Both are
 	// tracked by the sanity checker's monitoring phase.
@@ -46,9 +49,46 @@ const (
 	// load-balancing functions were executed and why they failed to
 	// balance the load"). Arg carries the local group's metric, Aux the
 	// busiest group's (-1 when no busiest was found), Code the Verdict,
-	// and Mask the busiest group's cores.
+	// and Mask the busiest group's cores. Dst carries the number of
+	// threads moved (in Aux for VerdictMoved in the trace form, see
+	// Recorder.Take).
 	KindBalance
+	// KindStealReject records a steal attempt that moved nothing: CPU is
+	// the would-be thief, Dst the rejecting source core, Code the Verdict
+	// explaining the rejection (pinned or cache-hot), Arg the busiest
+	// group's metric that nominated the source, Mask the busiest group's
+	// cores.
+	KindStealReject
+	// KindWakeup records a wakeup placement: CPU is the core the decision
+	// ran against (the previous/affine core), Dst the chosen core, Code
+	// the placement path (WakeOriginal, WakeFixed or WakePolicy), Arg the
+	// thread id, Aux 1 when the chosen core was busy while an allowed
+	// core idled, Mask the considered cores.
+	KindWakeup
 )
+
+// Wakeup placement paths (KindWakeup Code values).
+const (
+	// WakeOriginal is the buggy select_task_rq_fair model.
+	WakeOriginal uint8 = iota
+	// WakeFixed is the overload-on-wakeup fix's idle-core scan.
+	WakeFixed
+	// WakePolicy is a placement-policy override.
+	WakePolicy
+)
+
+// KindSet is a set of event kinds, one bit per Kind: what a sink of the
+// scheduler's decision stream subscribes to.
+type KindSet uint16
+
+// Has reports whether k is in the set.
+func (s KindSet) Has(k Kind) bool { return s&(1<<k) != 0 }
+
+// RecorderKinds are the kinds a Recorder subscribes to: the §4.2
+// instrumentation plus the balance profile. The provenance-only kinds
+// (steal rejections, wakeup placements) never reach a trace file.
+const RecorderKinds KindSet = 1<<KindRQSize | 1<<KindRQLoad | 1<<KindConsidered |
+	1<<KindMigration | 1<<KindFork | 1<<KindExit | 1<<KindBalance
 
 // String names the event kind.
 func (k Kind) String() string {
@@ -67,6 +107,10 @@ func (k Kind) String() string {
 		return "exit"
 	case KindBalance:
 		return "balance"
+	case KindStealReject:
+		return "steal-reject"
+	case KindWakeup:
+		return "wakeup"
 	default:
 		return fmt.Sprintf("kind(%d)", uint8(k))
 	}
@@ -187,18 +231,60 @@ func (m Mask) Has(c int) bool { return m[c>>6]&(1<<(c&63)) != 0 }
 // Count returns the number of set bits.
 func (m Mask) Count() int { return bits.OnesCount64(m[0]) + bits.OnesCount64(m[1]) }
 
-// Event is one recorded scheduler event. The kernel version of this
-// structure is 20 bytes; ours is close (32 with alignment), and like the
-// kernel's it is fixed-size so the recorder can preallocate its buffer.
+// Event is one scheduler decision record: both the §4.2 trace record a
+// Recorder stores and the decision-provenance record a provenance ring
+// keeps (internal/obs). The scheduler builds each record once and hands
+// it to every subscribed sink. Field meaning depends on Kind (see the
+// Kind constants). The kernel version of this structure is 20 bytes;
+// ours is close, and like the kernel's it is fixed-size so recorders and
+// rings can preallocate their buffers.
 type Event struct {
 	At   sim.Time
 	Kind Kind
 	Op   Op
-	Code uint8 // Verdict for KindBalance
+	Code uint8 // Verdict for KindBalance and KindStealReject, path for KindWakeup
 	CPU  int32 // core the event concerns
+	Dst  int32 // destination or source core, or threads moved (decision stream only; never encoded)
 	Arg  int64 // rq size, load, thread id, or local metric depending on Kind
 	Aux  int64 // destination cpu, waker tid, or busiest metric
 	Mask Mask  // considered cores / busiest group span
+}
+
+// String renders a decision record for humans (explain reports, trace
+// args).
+func (ev Event) String() string {
+	switch ev.Kind {
+	case KindBalance:
+		return fmt.Sprintf("%v balance[%s] cpu%d %s local=%d busiest=%d moved=%d",
+			ev.At, ev.Op, ev.CPU, Verdict(ev.Code), ev.Arg, ev.Aux, ev.Dst)
+	case KindStealReject:
+		return fmt.Sprintf("%v steal-reject cpu%d <- cpu%d %s busiest=%d",
+			ev.At, ev.CPU, ev.Dst, Verdict(ev.Code), ev.Arg)
+	case KindWakeup:
+		busy := ""
+		if ev.Aux != 0 {
+			busy = " busy-while-idle"
+		}
+		return fmt.Sprintf("%v wakeup t%d cpu%d -> cpu%d path=%s considered=%d%s",
+			ev.At, ev.Arg, ev.CPU, ev.Dst, WakePath(ev.Code), ev.Mask.Count(), busy)
+	case KindMigration:
+		return fmt.Sprintf("%v migrate t%d cpu%d -> cpu%d cause=%s",
+			ev.At, ev.Arg, ev.CPU, ev.Dst, ev.Op)
+	default:
+		return fmt.Sprintf("%v %s", ev.At, ev.Kind)
+	}
+}
+
+// WakePath names a KindWakeup placement path.
+func WakePath(code uint8) string {
+	switch code {
+	case WakeFixed:
+		return "fixed"
+	case WakePolicy:
+		return "policy"
+	default:
+		return "original"
+	}
 }
 
 // Recorder accumulates events in a preallocated array. It starts inactive;
@@ -244,6 +330,22 @@ func (r *Recorder) Record(ev Event) {
 		return
 	}
 	r.events = append(r.events, ev)
+}
+
+// Kinds, Active and Take make a Recorder a subscriber of the scheduler's
+// decision stream (sched.Sink): it takes the RecorderKinds while started.
+func (r *Recorder) Kinds() KindSet { return RecorderKinds }
+
+// Take records a decision record in its trace form. The decision stream
+// carries a moved balance's count and a migration's destination in Dst;
+// the trace form, like every trace file ever written, has no Dst and
+// carries both in Aux.
+func (r *Recorder) Take(ev Event) {
+	if ev.Kind == KindMigration || ev.Kind == KindBalance && Verdict(ev.Code) == VerdictMoved {
+		ev.Aux = int64(ev.Dst)
+	}
+	ev.Dst = 0
+	r.Record(ev)
 }
 
 // Dropped reports how many events were lost to the capacity limit.

@@ -210,3 +210,32 @@ func TestWriteJSON(t *testing.T) {
 		t.Fatal("zero op should be omitted")
 	}
 }
+
+// Take stores a decision record in its trace form: a migration's
+// destination and a moved balance's thread count move from Dst to Aux,
+// every other record keeps Aux, and no stored event carries a Dst.
+func TestRecorderTakeTraceForm(t *testing.T) {
+	r := NewRecorder(8)
+	r.Take(Event{Kind: KindMigration, CPU: 1, Dst: 3, Arg: 7})
+	r.Start()
+	r.Take(Event{Kind: KindMigration, CPU: 1, Dst: 3, Arg: 7})
+	r.Take(Event{Kind: KindBalance, Code: uint8(VerdictMoved), Dst: 2, Arg: 10, Aux: 40})
+	r.Take(Event{Kind: KindBalance, Code: uint8(VerdictBalanced), Arg: 10, Aux: 40})
+	want := []Event{
+		{Kind: KindMigration, CPU: 1, Arg: 7, Aux: 3},
+		{Kind: KindBalance, Code: uint8(VerdictMoved), Arg: 10, Aux: 2},
+		{Kind: KindBalance, Code: uint8(VerdictBalanced), Arg: 10, Aux: 40},
+	}
+	got := r.Events()
+	if len(got) != len(want) {
+		t.Fatalf("recorded %d events, want %d (a stopped recorder takes nothing)", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("event %d: %+v, want %+v", i, got[i], want[i])
+		}
+	}
+	if !r.Kinds().Has(KindBalance) || r.Kinds().Has(KindWakeup) || r.Kinds().Has(KindStealReject) {
+		t.Fatalf("recorder kinds %b", r.Kinds())
+	}
+}

@@ -62,7 +62,7 @@ func TestPublicChecker(t *testing.T) {
 func TestPublicTraceAndHeatmap(t *testing.T) {
 	m := schedsim.NewMachine(schedsim.SMP(2), schedsim.DefaultConfig(), 1)
 	rec := schedsim.NewRecorder(1 << 12)
-	m.SetRecorder(rec)
+	m.Sched.Attach(rec)
 	rec.Start()
 	m.Sched.EmitSnapshot()
 	p := m.NewProc("p", schedsim.ProcOpts{})
