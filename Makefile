@@ -18,7 +18,7 @@ SHELL := /bin/bash
 
 .PHONY: all build vet lint test race bench bench-out.txt bench-json \
 	bench-baseline-refresh profile campaign bisect tourney bisect-smoke \
-	campaign-smoke tourney-smoke explain-smoke trace-smoke dist-smoke fuzz \
+	campaign-smoke paper-smoke tourney-smoke explain-smoke trace-smoke dist-smoke fuzz \
 	bisect-nightly campaign-nightly baseline-refresh ci nightly
 
 all: ci
@@ -112,6 +112,14 @@ campaign-smoke:
 	$(GO) run ./cmd/campaign -matrix smoke -q -out campaign-smoke.json \
 		-baseline baselines/campaign-smoke.json -diff-out campaign-smoke-diff.txt
 
+# The CI paper gate: the 76-scenario sweep behind wastedcores' Tables 1,
+# 3 and 4 (bulldozer8 x the NAS suite pinned and after a hotplug cycle,
+# plus lu+4R, x {bugs, fix-gi, fix-gc, fix-md}) at paper scale, gated
+# the same way — so the paper's headline speedups are baseline-gated.
+paper-smoke:
+	$(GO) run ./cmd/campaign -matrix paper -q -out paper-smoke.json \
+		-baseline baselines/campaign-paper.json -diff-out paper-smoke-diff.txt
+
 # The CI tournament: 18 scenarios (bulldozer8 x {make2r, nas-pin:lu} x
 # nine policies), gated on two levels against the committed rolling
 # baseline: raw campaign metrics (like the other smoke gates) and the
@@ -190,15 +198,17 @@ nightly:
 
 # Regenerate the committed rolling baselines after an *intentional*
 # scheduler-model change (commit the result; CI diffs against these).
-# Covers both the per-push smoke baselines and the nightly default-scale
-# ones, so additive artifact fields land in all four at once.
+# Covers both the per-push smoke baselines (the paper gate's included)
+# and the nightly default-scale ones, so additive artifact fields land
+# in all of them at once.
 baseline-refresh:
 	$(GO) run ./cmd/bisect -preset smoke -q -out baselines/bisect-smoke.json
 	$(GO) run ./cmd/campaign -matrix smoke -q -out baselines/campaign-smoke.json
+	$(GO) run ./cmd/campaign -matrix paper -q -out baselines/campaign-paper.json
 	$(GO) run ./cmd/tourney -preset smoke -q -out baselines/tourney-smoke.json
 	$(GO) run ./cmd/bisect -preset smoke -explain -q -out explain-bisect.json
 	$(GO) run ./cmd/explain -in explain-bisect.json -q -out baselines/explain-smoke.json
 	$(GO) run ./cmd/bisect -preset default -q -out baselines/bisect-default.json
 	$(GO) run ./cmd/campaign -matrix default -scale 0.25 -q -out baselines/campaign-default.json
 
-ci: lint build race bisect-smoke campaign-smoke tourney-smoke explain-smoke dist-smoke fuzz
+ci: lint build race bisect-smoke campaign-smoke paper-smoke tourney-smoke explain-smoke dist-smoke fuzz

@@ -3,7 +3,7 @@
 //
 // Each experiment benchmark runs the corresponding workload end to end at
 // a reduced scale and reports the paper's headline quantity as a custom
-// metric (speedup factors for Tables 1/3, percent improvements for
+// metric (speedup factors for Tables 1/3 and lu+4R, percent improvements for
 // Table 2, coverage counts for Figure 5) alongside the usual ns/op —
 // regenerate the full-scale tables with `go run ./cmd/wastedcores`.
 package schedsim_test
@@ -11,12 +11,14 @@ package schedsim_test
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	schedsim "repro"
 	"repro/internal/bisect"
+	"repro/internal/campaign"
 	"repro/internal/checker"
 	"repro/internal/experiments"
 	"repro/internal/machine"
@@ -29,16 +31,42 @@ func benchOpts() experiments.Options {
 	return experiments.Options{Seed: 42, Scale: 0.3}
 }
 
-// BenchmarkTable1 regenerates Table 1 (Scheduling Group Construction bug:
-// NAS pinned to two 2-hop-apart nodes), reporting each app's speedup.
-func BenchmarkTable1(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows := experiments.Table1(benchOpts())
-		if i == b.N-1 {
-			for _, r := range rows {
-				b.ReportMetric(r.Speedup, r.App+"_speedup_x")
+// BenchmarkPaperTables regenerates Tables 1, 3 and the §3.1 lu+4R row
+// of Table 4 (bug/fix pairs of the NAS suite pinned to two 2-hop-apart
+// nodes, after a hotplug cycle, and lu next to four R processes),
+// reporting each row's speedup under a sub-benchmark per table. Each
+// sub-benchmark runs its table's slice of the paper preset: engine
+// seeds derive from scenario keys, so the rows equal those of a
+// whole-preset run (experiments.Paper), and the three slices together
+// run the preset once.
+func BenchmarkPaperTables(b *testing.B) {
+	opts := benchOpts()
+	for _, table := range []struct {
+		name, prefix string
+		render       func(*campaign.Campaign) experiments.SpeedupTable
+	}{
+		{"table1", "nas-pin:", experiments.Table1},
+		{"table3", "nas-hotplug:", experiments.Table3},
+		{"lu+4R", "nas-4r:", experiments.LuR},
+	} {
+		m := campaign.PaperMatrix()
+		m.Scale = opts.Scale
+		m.Workloads = slices.DeleteFunc(m.Workloads, func(w campaign.Workload) bool {
+			return !strings.HasPrefix(w.Name, table.prefix)
+		})
+		b.Run(table.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				c, err := campaign.Run(m, campaign.RunnerOpts{BaseSeed: opts.Seed})
+				if err != nil {
+					b.Fatal(err)
+				}
+				if i == b.N-1 {
+					for _, r := range table.render(c).Rows {
+						b.ReportMetric(r.Speedup, r.App+"_speedup_x")
+					}
+				}
 			}
-		}
+		})
 	}
 }
 
@@ -58,30 +86,6 @@ func BenchmarkTable2(b *testing.B) {
 				b.ReportMetric(-r.Q18Pct, name+"_q18_improvement_pct")
 				b.ReportMetric(-r.FullPct, name+"_full_improvement_pct")
 			}
-		}
-	}
-}
-
-// BenchmarkTable3 regenerates Table 3 (Missing Scheduling Domains bug:
-// NAS with 64 threads after a hotplug cycle).
-func BenchmarkTable3(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows := experiments.Table3(benchOpts())
-		if i == b.N-1 {
-			for _, r := range rows {
-				b.ReportMetric(r.Speedup, r.App+"_speedup_x")
-			}
-		}
-	}
-}
-
-// BenchmarkGroupImbalanceLU regenerates the §3.1 lu + 4xR result (paper:
-// 13x with the Group Imbalance fix) that feeds Table 4's maximum.
-func BenchmarkGroupImbalanceLU(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		res := experiments.GroupImbalanceLU(benchOpts())
-		if i == b.N-1 {
-			b.ReportMetric(res.Speedup, "lu_speedup_x")
 		}
 	}
 }

@@ -29,7 +29,8 @@
 //
 // Flags:
 //
-//	-matrix name     preset matrix: default (30 scenarios), smoke, full
+//	-matrix name     preset matrix: default (30 scenarios), smoke, full,
+//	                 paper (the 76-scenario sweep behind wastedcores' Tables 1, 3, 4)
 //	-topos csv       override topologies (see -list)
 //	-loads csv       override workloads
 //	-configs csv     override scheduler configs
@@ -117,7 +118,7 @@ func run(c *cli.Cmd, args []string) error {
 	}
 	defer prog.Close()
 	if *list {
-		fmt.Fprintf(c.Stdout, "topologies: %s\nworkloads:  %s (plus %s)\nconfigs:    %s\nmatrices:   default, smoke, full\n",
+		fmt.Fprintf(c.Stdout, "topologies: %s\nworkloads:  %s (plus %s)\nconfigs:    %s\nmatrices:   default, smoke, full, paper\n",
 			campaign.TopologyNames(), campaign.WorkloadNames(), campaign.WorkloadFamilies, campaign.ConfigNames())
 		return nil
 	}
@@ -144,7 +145,7 @@ func run(c *cli.Cmd, args []string) error {
 		}
 		m, ok := campaign.MatrixByName(*matrixName)
 		if !ok {
-			return cli.Usagef("unknown matrix preset %q (want default, smoke or full)", *matrixName)
+			return cli.Usagef("unknown matrix preset %q (want default, smoke, full or paper)", *matrixName)
 		}
 		if err := dims.Apply(&m.Topologies, &m.Workloads, &m.Configs, &m.Seeds); err != nil {
 			return err

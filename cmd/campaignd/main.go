@@ -105,7 +105,7 @@ func run(c *cli.Cmd, args []string) error {
 
 	m, ok := campaign.MatrixByName(*matrixName)
 	if !ok {
-		return cli.Usagef("unknown matrix preset %q (want default, smoke or full)", *matrixName)
+		return cli.Usagef("unknown matrix preset %q (want default, smoke, full or paper)", *matrixName)
 	}
 	if err := dims.Apply(&m.Topologies, &m.Workloads, &m.Configs, &m.Seeds); err != nil {
 		return err

@@ -25,8 +25,10 @@
 //     encoding, and Compare diffs two artifacts to report per-scenario
 //     regressions in makespan or idle-while-overloaded time.
 //
-// The experiments package reuses the same worker pool (ForEach) so the
-// paper's tables run their independent machine builds in parallel too.
+// The paper's per-bug speedup tables (Tables 1, 3 and 4) are renderers
+// over the PaperMatrix campaign in the experiments package, which also
+// runs Table 2's independent machine builds on the same worker pool
+// (ForEach).
 package campaign
 
 import (

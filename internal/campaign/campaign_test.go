@@ -474,6 +474,9 @@ func TestRegistryLookups(t *testing.T) {
 	if _, ok := MatrixByName("nope"); ok {
 		t.Error("bogus matrix found")
 	}
+	if m, ok := MatrixByName("paper"); !ok || m.Size() != 76 {
+		t.Errorf("paper matrix: found %v, %d scenarios; want 76", ok, m.Size())
+	}
 	cfg, _ := ConfigByName("modsched")
 	if len(cfg.Modules) == 0 {
 		t.Error("modsched config has no modules")

@@ -9,6 +9,7 @@ import (
 	"repro/internal/policy"
 	"repro/internal/sim"
 	"repro/internal/topology"
+	"repro/internal/workload"
 )
 
 // TopologySpec is a named machine shape. Build must return a fresh
@@ -304,6 +305,27 @@ func FullMatrix() Matrix {
 	}
 }
 
+// PaperMatrix is the sweep the paper's per-bug speedup tables render
+// from (internal/experiments): on the Bulldozer machine, every NAS
+// program pinned to the broken node pair (Table 1) and after a hotplug
+// cycle (Table 3), plus lu against four R processes (§3.1, Table 4's
+// Group Imbalance row), each under the studied kernel and the single
+// fixes — 76 scenarios.
+func PaperMatrix() Matrix {
+	var loads []string
+	for _, prefix := range []string{"nas-pin:", "nas-hotplug:"} {
+		for _, app := range workload.NASSuite() {
+			loads = append(loads, prefix+app.Name)
+		}
+	}
+	return Matrix{
+		Topologies: MustTopologies("bulldozer8"),
+		Workloads:  MustWorkloads(append(loads, "nas-4r:lu")...),
+		Configs:    MustConfigs("bugs", "fix-gi", "fix-gc", "fix-md"),
+		Seeds:      []int64{1},
+	}
+}
+
 // MatrixByName resolves a preset name.
 func MatrixByName(name string) (Matrix, bool) {
 	switch name {
@@ -313,6 +335,8 @@ func MatrixByName(name string) (Matrix, bool) {
 		return SmokeMatrix(), true
 	case "full":
 		return FullMatrix(), true
+	case "paper":
+		return PaperMatrix(), true
 	}
 	return Matrix{}, false
 }

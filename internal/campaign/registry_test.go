@@ -3,6 +3,12 @@ package campaign
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/machine"
+	"repro/internal/sched"
+	"repro/internal/sim"
+	"repro/internal/topology"
+	"repro/internal/workload"
 )
 
 // TestConfigRegistryCompat pins the compatibility surface of the
@@ -76,7 +82,7 @@ func TestWorkloadRegistry(t *testing.T) {
 		}
 	}
 	// Parameterized families resolve through their prefixes.
-	for _, name := range []string{"nas:bt", "nas-pin:cg", "nas-hotplug:lu", "nas-hotplug-storm:lu:6", "serve:500"} {
+	for _, name := range []string{"nas:bt", "nas-pin:cg", "nas-hotplug:lu", "nas-4r:mg", "nas-hotplug-storm:lu:6", "serve:500"} {
 		w, ok := WorkloadByName(name)
 		if !ok {
 			t.Errorf("family workload %q did not resolve", name)
@@ -110,5 +116,67 @@ func TestWorkloadFamiliesGrammar(t *testing.T) {
 		if _, ok := WorkloadByName(example.Replace(item)); !ok {
 			t.Errorf("%q does not resolve", example.Replace(item))
 		}
+	}
+}
+
+// TestNAS4REveryTopology: the lu+4R family adapts its R placement and
+// thread count to any machine shape, and the program still completes.
+func TestNAS4REveryTopology(t *testing.T) {
+	m := Matrix{
+		Topologies: BuiltinTopologies(),
+		Workloads:  MustWorkloads("nas-4r:lu"),
+		Configs:    MustConfigs("bugs"),
+		Scale:      0.05,
+	}
+	c, err := Run(m, RunnerOpts{BaseSeed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(c.Results) != len(m.Topologies) {
+		t.Fatalf("results = %d, want one per topology (%d)", len(c.Results), len(m.Topologies))
+	}
+	for _, r := range c.Results {
+		if !r.Completed || r.MakespanNs <= int64(RWarmup) {
+			t.Errorf("%s: completed %v at %v, want completion after the %v warm-up",
+				r.Key, r.Completed, sim.Time(r.MakespanNs), RWarmup)
+		}
+	}
+}
+
+// TestNAS4RMatchesHandBuiltRun: on the Bulldozer machine nas-4r:lu is
+// the §3.1 lu+4R run — four R processes on nodes 0, 2, 4 and 6, an
+// RWarmup head start, then 60 lu threads forked on node 1 — so a
+// machine built by hand on the scenario's engine seed finishes at the
+// same instant.
+func TestNAS4RMatchesHandBuiltRun(t *testing.T) {
+	const scale = 0.1
+	m := Matrix{
+		Topologies: MustTopologies("bulldozer8"),
+		Workloads:  MustWorkloads("nas-4r:lu"),
+		Configs:    MustConfigs("bugs"),
+		Scale:      scale,
+	}
+	c, err := Run(m, RunnerOpts{BaseSeed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := c.Results[0]
+
+	topo := topology.Bulldozer8()
+	mach := machine.New(topo, sched.DefaultConfig(), r.EngineSeed)
+	for _, node := range []topology.NodeID{0, 2, 4, 6} {
+		workload.LaunchR(mach, topo.CoresOfNode(node)[0], 100*sim.Second)
+	}
+	mach.Run(RWarmup)
+	lu, _ := workload.NASAppByName("lu")
+	p := lu.Launch(mach, workload.NASLaunchOpts{
+		Threads:   60,
+		SpawnCore: topo.CoresOfNode(1)[0],
+		Seed:      r.EngineSeed,
+		Scale:     scale,
+	})
+	end, done := mach.RunUntilDone(200*sim.Second, p)
+	if !done || int64(end) != r.MakespanNs {
+		t.Errorf("hand-built run ends at %v (done %v), nas-4r:lu at %v", end, done, sim.Time(r.MakespanNs))
 	}
 }

@@ -113,6 +113,7 @@ func init() {
 	registerFamily("nas:", nasFamily(nasWorkload))
 	registerFamily("nas-pin:", nasFamily(nasPinnedWorkload))
 	registerFamily("nas-hotplug:", nasFamily(nasHotplugWorkload))
+	registerFamily("nas-4r:", nasFamily(nas4RWorkload))
 	registerFamily("nas-hotplug-storm:", func(rest string) (Workload, bool) {
 		app, cyc, ok := strings.Cut(rest, ":")
 		if !ok {
@@ -152,7 +153,7 @@ func BuiltinWorkloads() []Workload {
 // WorkloadFamilies is the grammar of the parameterized workload
 // families WorkloadByName synthesizes on lookup, for usage and error
 // messages.
-const WorkloadFamilies = "nas:<app>, nas-pin:<app>, nas-hotplug:<app>, nas-hotplug-storm:<app>:<cycles>, serve:<qps>"
+const WorkloadFamilies = "nas:<app>, nas-pin:<app>, nas-hotplug:<app>, nas-4r:<app>, nas-hotplug-storm:<app>:<cycles>, serve:<qps>"
 
 // WorkloadByName resolves a registered workload, including the dynamic
 // prefix families (WorkloadFamilies).
@@ -173,6 +174,17 @@ func WorkloadByName(name string) (Workload, bool) {
 	}
 	return Workload{}, false
 }
+
+// Lead-in times of the paper workloads: virtual time a workload spends
+// before it launches the program it measures. Its makespan includes
+// them; the paper's tables time from launch and subtract them.
+const (
+	// HotplugSettle is how long nas-hotplug:<app> lets the machine settle
+	// after its hotplug cycle (Table 3).
+	HotplugSettle = 10 * sim.Millisecond
+	// RWarmup is how long nas-4r:<app>'s R processes run alone (§3.1).
+	RWarmup = 20 * sim.Millisecond
+)
 
 // scaleDur scales a duration, clamping at a floor so tiny scales keep
 // the workload meaningful.
@@ -348,10 +360,43 @@ func nasHotplugWorkload(name string) Workload {
 		if err := rc.M.EnableCore(last); err != nil {
 			panic(err)
 		}
-		rc.M.Run(10 * sim.Millisecond)
+		rc.M.Run(HotplugSettle)
 		p := app.Launch(rc.M, workload.NASLaunchOpts{
 			Threads:   rc.Topo.NumCores(),
 			SpawnCore: 0,
+			Seed:      rc.Seed,
+			Scale:     rc.Scale,
+		})
+		end, done := rc.M.RunUntilDone(rc.Horizon, p)
+		return Outcome{Makespan: end, Completed: done}
+	}}
+}
+
+// nas4RWorkload is the §3.1 lu+4R configuration behind Table 4's Group
+// Imbalance row: four single-threaded R processes, each in its own
+// autogroup, on nodes 0, 2, 4 and 6 run alone for RWarmup; then the NPB
+// program launches one thread per remaining core, all forked on node 1.
+// With the Group Imbalance bug the program crowds away from the R
+// nodes and its spin synchronization collapses ("lu ran 13x faster
+// after fixing the Group Imbalance bug"). Makespan is the program's
+// completion time; the R processes are not waited for. On machines
+// with fewer nodes the R placement wraps around the nodes.
+func nas4RWorkload(name string) Workload {
+	return Workload{Name: "nas-4r:" + name, Run: func(rc *RunContext) Outcome {
+		app, ok := workload.NASAppByName(name)
+		if !ok {
+			panic("campaign: unknown NAS app " + name)
+		}
+		const hogs = 4
+		n := rc.Topo.NumNodes()
+		for i := 0; i < hogs; i++ {
+			workload.LaunchR(rc.M, rc.Topo.CoresOfNode(topology.NodeID(2 * i % n))[0], 100*sim.Second)
+		}
+		rc.M.Run(RWarmup)
+		threads := max(rc.Topo.NumCores()-hogs, 1)
+		p := app.Launch(rc.M, workload.NASLaunchOpts{
+			Threads:   threads,
+			SpawnCore: rc.Topo.CoresOfNode(topology.NodeID(1 % n))[0],
 			Seed:      rc.Seed,
 			Scale:     rc.Scale,
 		})

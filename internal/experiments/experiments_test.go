@@ -2,8 +2,10 @@ package experiments
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
+	"repro/internal/campaign"
 	"repro/internal/workload"
 )
 
@@ -11,8 +13,31 @@ import (
 // every qualitative property asserted below.
 func testOpts() Options { return Options{Seed: 42, Scale: 0.5} }
 
+// paperRuns memoizes Paper per options: the table tests at testOpts
+// render from one sweep.
+var (
+	paperMu   sync.Mutex
+	paperRuns = map[Options]*campaign.Campaign{}
+)
+
+func paper(t *testing.T, opts Options) *campaign.Campaign {
+	t.Helper()
+	paperMu.Lock()
+	defer paperMu.Unlock()
+	if c, ok := paperRuns[opts]; ok {
+		return c
+	}
+	c, err := Paper(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	paperRuns[opts] = c
+	return c
+}
+
 func TestTable1Shape(t *testing.T) {
-	rows := Table1(testOpts())
+	tab := Table1(paper(t, testOpts()))
+	rows := tab.Rows
 	if len(rows) != 9 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -39,14 +64,15 @@ func TestTable1Shape(t *testing.T) {
 	if lu < 5 {
 		t.Errorf("lu speedup = %.1f, want >> 1 (paper: 27x)", lu)
 	}
-	out := FormatTable1(rows)
+	out := tab.String()
 	if !strings.Contains(out, "lu") || !strings.Contains(out, "Speedup") {
 		t.Error("FormatTable1 malformed")
 	}
 }
 
 func TestTable3Shape(t *testing.T) {
-	rows := Table3(testOpts())
+	tab := Table3(paper(t, testOpts()))
+	rows := tab.Rows
 	if len(rows) != 9 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -73,7 +99,7 @@ func TestTable3Shape(t *testing.T) {
 	if lu < 10 {
 		t.Errorf("lu speedup = %.1f, want superlinear (paper: 138x)", lu)
 	}
-	if !strings.Contains(FormatTable3(rows), "Missing Scheduling Domains") {
+	if !strings.Contains(tab.String(), "Missing Scheduling Domains") {
 		t.Error("FormatTable3 malformed")
 	}
 }
@@ -117,7 +143,11 @@ func TestTable2Shape(t *testing.T) {
 }
 
 func TestGroupImbalanceLU(t *testing.T) {
-	res := GroupImbalanceLU(testOpts())
+	rows := LuR(paper(t, testOpts())).Rows
+	if len(rows) != 1 {
+		t.Fatalf("rows = %d, want lu alone", len(rows))
+	}
+	res := rows[0]
 	if !res.Complete {
 		t.Fatal("timed out")
 	}
@@ -128,12 +158,8 @@ func TestGroupImbalanceLU(t *testing.T) {
 }
 
 func TestTable4And5(t *testing.T) {
-	opts := testOpts()
-	t1 := Table1(opts)
-	t3 := Table3(opts)
 	t2 := Table2(Options{Seed: 42, Scale: 1})
-	lur := GroupImbalanceLU(opts)
-	rows := Table4(t1, t2, t3, lur)
+	rows := Table4(paper(t, testOpts()), t2)
 	if len(rows) != 4 {
 		t.Fatalf("rows = %d", len(rows))
 	}
@@ -228,8 +254,11 @@ func TestOptionsDefaults(t *testing.T) {
 
 func TestNASSuiteUsedByTables(t *testing.T) {
 	// Table rows carry the suite's app names in order.
-	rows := Table1(Options{Seed: 1, Scale: 0.05})
+	rows := Table1(paper(t, Options{Seed: 1, Scale: 0.05})).Rows
 	suite := workload.NASSuite()
+	if len(rows) != len(suite) {
+		t.Fatalf("rows = %d, want one per suite app (%d)", len(rows), len(suite))
+	}
 	for i, r := range rows {
 		if r.App != suite[i].Name {
 			t.Fatalf("row %d = %s, want %s", i, r.App, suite[i].Name)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/campaign"
 	"repro/internal/machine"
 	"repro/internal/sched"
 	"repro/internal/sim"
@@ -50,7 +51,7 @@ func Table2(opts Options) []Table2Row {
 	configs := table2Configs()
 	// The four fix combinations are independent runs; the percentage
 	// columns against the no-fixes baseline are computed afterwards.
-	rows := forEach(opts, len(configs), func(i int) Table2Row {
+	rows := campaign.ForEach(len(configs), opts.Workers, func(i int) Table2Row {
 		q18, full, ok := runTPCH(opts, configs[i].F)
 		return Table2Row{Config: configs[i].Name, Q18: q18, Full: full, Complete: ok}
 	})

@@ -4,68 +4,9 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/machine"
-	"repro/internal/sched"
-	"repro/internal/sim"
-	"repro/internal/stats"
+	"repro/internal/campaign"
 	"repro/internal/topology"
-	"repro/internal/workload"
 )
-
-// LuRResult is the §3.1 lu + 4xR experiment: with the Group Imbalance bug
-// lu crowds away from the R nodes and its spin synchronization collapses
-// ("lu ran 13x faster after fixing the Group Imbalance bug").
-type LuRResult struct {
-	WithBug  sim.Time
-	Fixed    sim.Time
-	Speedup  float64
-	Complete bool
-}
-
-// GroupImbalanceLU runs lu (60 threads) against four single-threaded R
-// processes, with and without the Group Imbalance fix.
-func GroupImbalanceLU(opts Options) LuRResult {
-	opts = opts.withDefaults()
-	run := func(fix bool) (sim.Time, bool) {
-		topo := topology.Bulldozer8()
-		cfg := sched.DefaultConfig()
-		cfg.Features.FixGroupImbalance = fix
-		m := machine.New(topo, cfg, opts.Seed)
-		// Four R processes on four distinct nodes, each its own tty.
-		for i := 0; i < 4; i++ {
-			workload.LaunchR(m, topo.CoresOfNode(topology.NodeID(2 * i))[0], 100*sim.Second)
-		}
-		m.Run(20 * sim.Millisecond)
-		lu, ok := workload.NASAppByName("lu")
-		if !ok {
-			panic("lu missing from suite")
-		}
-		p := lu.Launch(m, workload.NASLaunchOpts{
-			Threads:   60,
-			SpawnCore: topo.CoresOfNode(1)[0],
-			Seed:      opts.Seed,
-			Scale:     opts.Scale,
-		})
-		start := m.Eng.Now()
-		end, done := m.RunUntilDone(start+opts.Horizon, p)
-		return end - start, done
-	}
-	type res struct {
-		t  sim.Time
-		ok bool
-	}
-	runs := forEach(opts, 2, func(i int) res {
-		t, ok := run(i == 1)
-		return res{t, ok}
-	})
-	bug, fixed := runs[0], runs[1]
-	return LuRResult{
-		WithBug:  bug.t,
-		Fixed:    fixed.t,
-		Speedup:  stats.Speedup(bug.t.Seconds(), fixed.t.Seconds()),
-		Complete: bug.ok && fixed.ok,
-	}
-}
 
 // Table4Row summarizes one bug, as in the paper's Table 4.
 type Table4Row struct {
@@ -77,20 +18,10 @@ type Table4Row struct {
 }
 
 // Table4 reproduces the paper's Table 4 by taking the maximum measured
-// impact of each bug from this reproduction's own experiments.
-func Table4(t1 []Table1Row, t2 []Table2Row, t3 []Table3Row, lur LuRResult) []Table4Row {
-	maxSpeedup1 := 0.0
-	for _, r := range t1 {
-		if r.Speedup > maxSpeedup1 {
-			maxSpeedup1 = r.Speedup
-		}
-	}
-	maxSpeedup3 := 0.0
-	for _, r := range t3 {
-		if r.Speedup > maxSpeedup3 {
-			maxSpeedup3 = r.Speedup
-		}
-	}
+// impact of each bug from this reproduction's own experiments: Tables 1,
+// 3 and the §3.1 lu+4R row from a paper campaign, Table 2's rows for
+// Overload-on-Wakeup.
+func Table4(c *campaign.Campaign, t2 []Table2Row) []Table4Row {
 	oow := 0.0
 	for _, r := range t2 {
 		if r.Config == "Overload-on-Wakeup" && r.Q18Pct < oow {
@@ -104,14 +35,14 @@ func Table4(t1 []Table1Row, t2 []Table2Row, t3 []Table3Row, lur LuRResult) []Tab
 				"thread counts, some CPUs are idle while other CPUs are overloaded.",
 			KernelVersion: "2.6.38+",
 			Impacted:      "All",
-			MaxImpact:     fmt.Sprintf("%.0fx", lur.Speedup),
+			MaxImpact:     fmt.Sprintf("%.0fx", LuR(c).Max()),
 		},
 		{
 			Name:          "Scheduling Group Construction",
 			Description:   "No load balancing between nodes that are 2-hops apart.",
 			KernelVersion: "3.9+",
 			Impacted:      "All",
-			MaxImpact:     fmt.Sprintf("%.0fx", maxSpeedup1),
+			MaxImpact:     fmt.Sprintf("%.0fx", Table1(c).Max()),
 		},
 		{
 			Name:          "Overload-on-Wakeup",
@@ -125,7 +56,7 @@ func Table4(t1 []Table1Row, t2 []Table2Row, t3 []Table3Row, lur LuRResult) []Tab
 			Description:   "The load is not balanced between NUMA nodes.",
 			KernelVersion: "3.19+",
 			Impacted:      "All",
-			MaxImpact:     fmt.Sprintf("%.0fx", maxSpeedup3),
+			MaxImpact:     fmt.Sprintf("%.0fx", Table3(c).Max()),
 		},
 	}
 }
