@@ -46,21 +46,25 @@ race:
 bench:
 	$(GO) test -run='^$$' -bench=. -benchtime=1x .
 
-# The pinned perf-trajectory suite: the campaign throughput benchmark
-# (events/s + scenarios/s) plus the engine microbenchmarks, parsed into
-# a machine-readable report and gated against the committed allocation
-# baseline (allocs/op only — wall clock is not comparable across
-# machines). Exit 3 from benchjson = an allocation regression. The
-# -max-allocs-per-event bound additionally asserts that obs-disabled
-# campaign runs stay at or under one allocation per simulation event,
-# so the observability hooks keep compiling down to a nil-check.
-BENCH_PKG_ARGS  = -run '^$$' -bench 'BenchmarkCampaign|BenchmarkSimulatorThroughput' -benchmem -benchtime 5x .
-BENCH_SIM_ARGS  = -run '^$$' -bench 'BenchmarkEngine|BenchmarkEvent' -benchmem -benchtime 1s ./internal/sim
+# The pinned perf-trajectory suite: the campaign throughput benchmarks
+# (plain, bisect fork, explain), the wakeup-path and checker-overhead
+# layers, the engine microbenchmarks and the scheduler's decision-stream
+# and ApplyFeatures layers, parsed into a machine-readable report and
+# gated against the committed allocation baseline (allocs/op only —
+# wall clock is not comparable across machines). Exit 3 from benchjson =
+# an allocation regression. The -max-allocs-per-event bound additionally
+# asserts that obs-disabled runs stay at or under one allocation per
+# simulation event, so the observability hooks keep compiling down to a
+# nil-check.
+BENCH_PKG_ARGS   = -run '^$$' -bench 'BenchmarkCampaign|BenchmarkSimulatorThroughput|BenchmarkWakeupPath|BenchmarkCheckerOverhead' -benchmem -benchtime 5x .
+BENCH_SIM_ARGS   = -run '^$$' -bench 'BenchmarkEngine|BenchmarkEvent' -benchmem -benchtime 1s ./internal/sim
+BENCH_SCHED_ARGS = -run '^$$' -bench 'BenchmarkApplyFeatures|BenchmarkDecisionStream/sinks=none' -benchmem -benchtime 5x ./internal/sched
 
 bench-out.txt:
 	@rm -f $@
 	$(GO) test $(BENCH_PKG_ARGS) | tee -a $@
 	$(GO) test $(BENCH_SIM_ARGS) | tee -a $@
+	$(GO) test $(BENCH_SCHED_ARGS) | tee -a $@
 
 bench-json: bench-out.txt
 	$(GO) run ./cmd/benchjson -in bench-out.txt -out BENCH_campaign.json \

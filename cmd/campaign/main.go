@@ -29,8 +29,9 @@
 //
 // Flags:
 //
-//	-matrix name     preset matrix: default (30 scenarios), smoke, full,
-//	                 paper (the 76-scenario sweep behind wastedcores' Tables 1, 3, 4)
+//	-matrix name     preset matrix: default (30 scenarios), smoke (8),
+//	                 full (every builtin dimension, two seeds) or paper
+//	                 (the 76-scenario sweep behind wastedcores' Tables 1, 3, 4)
 //	-topos csv       override topologies (see -list)
 //	-loads csv       override workloads
 //	-configs csv     override scheduler configs
@@ -98,7 +99,7 @@ func run(c *cli.Cmd, args []string) error {
 		trace cli.TraceExport
 	)
 	fs := c.FlagSet()
-	matrixName := fs.String("matrix", "default", "preset matrix: default, smoke, full")
+	matrixName := fs.String("matrix", "default", "preset matrix: default, smoke, full, paper")
 	shardSpec := fs.String("shard", "", "run only shard i of n (\"i/n\")")
 	mergeMode := fs.Bool("merge", false, "merge shard artifacts (positional args) instead of running")
 	incremental := fs.String("incremental", "", "prior artifact: execute only new/changed scenarios")

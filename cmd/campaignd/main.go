@@ -73,7 +73,7 @@ func run(c *cli.Cmd, args []string) error {
 		gate cli.Gate
 	)
 	fs := c.FlagSet()
-	matrixName := fs.String("matrix", "default", "preset matrix: default, smoke, full")
+	matrixName := fs.String("matrix", "default", "preset matrix: default, smoke, full, paper")
 	incremental := fs.String("incremental", "", "prior artifact: execute only new/changed scenarios")
 	workerURLs := fs.String("workers", "", "comma-separated worker base URLs")
 	shardSize := fs.Int("shard-size", 4, "scenarios per shard")

@@ -124,12 +124,14 @@ flags:
 }
 
 // runner runs experiments for one invocation, sharing one paper
-// campaign between the tables that render from it.
+// campaign between the tables that render from it, and one Table 2 run
+// between table2 and table4's Overload-on-Wakeup row.
 type runner struct {
 	out    io.Writer
 	opts   experiments.Options
 	svgDir string
 	paper  *campaign.Campaign
+	table2 []experiments.Table2Row
 }
 
 func (x *runner) paperCampaign() (*campaign.Campaign, error) {
@@ -141,6 +143,13 @@ func (x *runner) paperCampaign() (*campaign.Campaign, error) {
 		x.paper = c
 	}
 	return x.paper, nil
+}
+
+func (x *runner) table2Rows() []experiments.Table2Row {
+	if x.table2 == nil {
+		x.table2 = experiments.Table2(x.opts)
+	}
+	return x.table2
 }
 
 func (x *runner) run(name string) error {
@@ -157,10 +166,10 @@ func (x *runner) run(name string) error {
 		case "table3":
 			fmt.Fprintln(out, experiments.Table3(c))
 		default:
-			fmt.Fprintln(out, experiments.FormatTable4(experiments.Table4(c, experiments.Table2(opts))))
+			fmt.Fprintln(out, experiments.FormatTable4(experiments.Table4(c, x.table2Rows())))
 		}
 	case "table2":
-		fmt.Fprintln(out, experiments.FormatTable2(experiments.Table2(opts)))
+		fmt.Fprintln(out, experiments.FormatTable2(x.table2Rows()))
 	case "table5":
 		fmt.Fprintln(out, experiments.Table5())
 	case "attribution":

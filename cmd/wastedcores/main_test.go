@@ -1,12 +1,14 @@
 package main
 
 import (
+	"io"
 	"os"
 	"strings"
 	"testing"
 
 	"repro/internal/cli"
 	"repro/internal/cli/clitest"
+	"repro/internal/experiments"
 )
 
 // TestFlags compares the flag listing -h prints after its experiment
@@ -58,5 +60,24 @@ func TestPaperTables(t *testing.T) {
 		if !strings.Contains(stdout, want) {
 			t.Errorf("output misses %q:\n%s", want, stdout)
 		}
+	}
+}
+
+// TestTable2RunsOnce: table4's Overload-on-Wakeup row and table2 share
+// one Table 2 run per invocation, in either order.
+func TestTable2RunsOnce(t *testing.T) {
+	x := &runner{out: io.Discard, opts: experiments.Options{Seed: 42, Scale: 0.05}}
+	if err := x.run("table4"); err != nil {
+		t.Fatal(err)
+	}
+	if x.table2 == nil {
+		t.Fatal("table4 ran Table 2 without keeping its rows")
+	}
+	first := &x.table2[0]
+	if err := x.run("table2"); err != nil {
+		t.Fatal(err)
+	}
+	if &x.table2[0] != first {
+		t.Fatal("table2 ran Table 2 again")
 	}
 }

@@ -11,7 +11,7 @@ import (
 // of the tick path (accounting + preemption check + periodic balancing
 // across every due domain level): after warmup it must stay at a small
 // constant per tick period, independent of core count — the scratch
-// buffers, per-core timers and domain cache make the common case
+// buffers, per-core timers and interned domain hierarchies make the common case
 // allocation-free, with only amortized noise (runqueue pool growth,
 // trace-free bookkeeping) remaining.
 func TestPeriodicBalanceTickAllocs(t *testing.T) {
@@ -37,9 +37,10 @@ func TestPeriodicBalanceTickAllocs(t *testing.T) {
 }
 
 // TestHotplugDomainRebuildReusesCache: cycling the same core off and on
-// must hit the domain cache (pointer swap), not reconstruct hierarchies,
+// must hit the intern table (pointer swap), not reconstruct hierarchies,
 // while still resetting the per-level balance bookkeeping.
 func TestHotplugDomainRebuildReusesCache(t *testing.T) {
+	tab := freshHierarchies(t)
 	e := newEnv(topology.Bulldozer8(), DefaultConfig().WithFixes(AllFixes()))
 	if err := e.s.DisableCPU(5); err != nil {
 		t.Fatal(err)
@@ -64,11 +65,18 @@ func TestHotplugDomainRebuildReusesCache(t *testing.T) {
 			t.Fatalf("level %d rebuilt instead of cache-hit", i)
 		}
 	}
-	// The cache holds one entry per distinct (online set, includeNUMA)
-	// seen: full set (x2: with and without NUMA never both occur here,
-	// so exactly the visited classes) and the set without core 5.
-	if n := len(e.s.domainCache); n != 2 {
-		t.Fatalf("domain cache has %d entries, want 2", n)
+	// The table holds one entry per distinct key visited: the full
+	// online set and the set without core 5 (with every fix on, NUMA
+	// levels are always built). Five rebuilds constructed exactly those
+	// two hierarchies.
+	if n := len(tab.m); n != 2 {
+		t.Fatalf("intern table has %d entries, want 2", n)
+	}
+	if tab.builds != 2 {
+		t.Fatalf("%d hierarchies built, want 2", tab.builds)
+	}
+	if got := e.s.Counters().DomainRebuilds; got != 5 {
+		t.Fatalf("DomainRebuilds = %d, want 5 (it counts rebuilds, not table misses)", got)
 	}
 }
 

@@ -3,6 +3,7 @@ package sched
 import (
 	"fmt"
 	"strings"
+	"sync"
 
 	"repro/internal/sim"
 	"repro/internal/topology"
@@ -66,96 +67,183 @@ func (d *Domain) String() string {
 	return b.String()
 }
 
-// domainKey identifies a domain-hierarchy equivalence class: the same
-// online set under the same NUMA-inclusion rule always yields the same
-// per-core hierarchies (topology and the construction-perspective fix are
-// fixed for a scheduler's lifetime).
+// domainKey identifies one interned hierarchy. It holds everything
+// construction reads: the machine's structure (topology.Shape, not its
+// name or pointer — every scenario builds a fresh Topology), the
+// bottom-level balance interval, the online set, whether node-spanning
+// levels are built (the Missing Domains fix, §3.4) and the construction
+// perspective (the Group Construction fix, §3.2). Equal keys always
+// yield structurally equal per-core hierarchies, so one built hierarchy
+// serves every scheduler, fork and replay that reaches the key.
 type domainKey struct {
+	shape       string
+	interval    sim.Time
 	online      CPUSet
 	includeNUMA bool
+	gcFixed     bool
 }
 
-// rebuildDomains regenerates every core's domain hierarchy. It implements
-// the Missing Scheduling Domains bug: when afterHotplug is set and the fix
-// is disabled, only the intra-node levels are regenerated — the paper's
+// maxInternedHierarchies caps the intern table. A long-lived process (a
+// campaign worker) sees a bounded set of machines, intervals and fix
+// flags, but hotplug workloads can reach many online sets; past the cap
+// a miss builds a private hierarchy that is not interned. Building an
+// entry of a 64-core builtin machine allocates at most about 110 KB, so
+// a full table holds under 60 MB.
+const maxInternedHierarchies = 512
+
+// hierarchies is the process-wide intern table: per-core domain lists
+// indexed by core id (nil for offline cores). Domain values are
+// immutable once published — localMask included — so schedulers on
+// different goroutines share them without further locking.
+var hierarchies = &hierarchyTable{}
+
+type hierarchyTable struct {
+	mu     sync.Mutex
+	m      map[domainKey][][]*Domain
+	builds int // hierarchies constructed, interned or not
+}
+
+// lookup returns the interned hierarchy for k, building it on a miss.
+// Construction runs outside the lock; when two goroutines miss on one
+// key, the first to publish wins and the other adopts its hierarchy, so
+// every caller of a key sees the same pointers.
+func (t *hierarchyTable) lookup(topo *topology.Topology, k domainKey) [][]*Domain {
+	t.mu.Lock()
+	h, ok := t.m[k]
+	t.mu.Unlock()
+	if ok {
+		return h
+	}
+	h = buildHierarchy(topo, k)
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.builds++
+	if prev, ok := t.m[k]; ok {
+		return prev
+	}
+	if len(t.m) < maxInternedHierarchies {
+		if t.m == nil {
+			t.m = map[domainKey][][]*Domain{}
+		}
+		t.m[k] = h
+	}
+	return h
+}
+
+// hierarchy returns the per-core hierarchies this scheduler's machine
+// has under the given construction flags at the current online set.
+func (s *Scheduler) hierarchy(includeNUMA, gcFixed bool) [][]*Domain {
+	return hierarchies.lookup(s.topo, domainKey{
+		shape:       s.topo.Shape(),
+		interval:    s.cfg.BalanceInterval,
+		online:      s.online,
+		includeNUMA: includeNUMA,
+		gcFixed:     gcFixed,
+	})
+}
+
+// includeNUMA reports whether construction builds the node-spanning
+// levels: always, unless a hotplug event broke them and the Missing
+// Domains fix is off.
+func (s *Scheduler) includeNUMA() bool {
+	return !s.domainsBroken || s.cfg.Features.FixMissingDomains
+}
+
+// rebuildDomains regenerates every core's domain hierarchy, as the
+// kernel does when the topology or the online set changes. It implements
+// the Missing Scheduling Domains bug: after a hotplug event, with the
+// fix disabled, only the intra-node levels are regenerated — the paper's
 // "the call to the function generating domains across NUMA nodes was
 // dropped by Linux developers during code refactoring".
 //
-// Hierarchies are cached per (online-set, includeNUMA): hotplug storms
-// revisit the same few online sets over and over, and a cache hit swaps
-// pointers instead of reconstructing per-core domain lists. The per-level
-// balance bookkeeping is still reset on every rebuild (reusing the backing
-// arrays), exactly as an uncached rebuild would.
+// The hierarchy itself comes from the intern table, so only the first
+// rebuild of a key in the process constructs anything; the per-level
+// balance bookkeeping is reset on every rebuild (reusing the backing
+// arrays), and DomainRebuilds counts rebuilds, not table misses.
 func (s *Scheduler) rebuildDomains() {
-	includeNUMA := !s.domainsBroken || s.cfg.Features.FixMissingDomains
-	key := domainKey{online: s.online, includeNUMA: includeNUMA}
-	hier, hit := s.domainCache[key]
-	if !hit {
-		hier = make([][]*Domain, len(s.cpus))
-		for _, c := range s.cpus {
-			if c.online {
-				hier[c.id] = s.buildDomainsFor(c.id, includeNUMA)
-			}
-		}
-	}
+	s.installDomains(false)
+	s.counters.DomainRebuilds++
+	s.probeDomainsCheck()
+}
+
+// installDomains points every core at its hierarchy under the current
+// flags and resets its periodic-balance schedule. With keepEqual, a core
+// whose new list equals its old one keeps its schedule (see
+// ApplyFeatures).
+func (s *Scheduler) installDomains(keepEqual bool) {
+	hier := s.hierarchy(s.includeNUMA(), s.cfg.Features.FixGroupConstruction)
 	now := s.eng.Now()
 	for _, c := range s.cpus {
-		if !c.online {
-			c.domains = nil
-			c.nextBalance = c.nextBalance[:0]
-			c.balanceFailed = c.balanceFailed[:0]
+		doms := hier[c.id]
+		if keepEqual && domainsEqual(c.domains, doms) {
+			c.domains = doms
 			continue
 		}
-		c.domains = hier[c.id]
-		n := len(c.domains)
+		c.domains = doms
+		n := len(doms)
 		if cap(c.nextBalance) < n {
 			c.nextBalance = make([]sim.Time, n)
 			c.balanceFailed = make([]int, n)
 		}
 		c.nextBalance = c.nextBalance[:n]
 		c.balanceFailed = c.balanceFailed[:n]
-		for i, d := range c.domains {
+		for i, d := range doms {
 			c.nextBalance[i] = now + d.Interval
 			c.balanceFailed[i] = 0
 		}
 	}
-	if !hit {
-		// The balance masks need every core's hierarchy in place (they
-		// compare the per-core views of a group), so they are filled in a
-		// second pass and then cached with the entry.
-		for _, c := range s.cpus {
-			for _, d := range c.domains {
-				d.localMask = CPUSet{}
-				if d.local >= 0 {
-					d.localMask = s.groupBalanceMask(d.Groups[d.local], d.Name)
-				}
+}
+
+// buildHierarchy constructs the per-core hierarchies for k, balance
+// masks included. It reads nothing but topo's structure and k.
+func buildHierarchy(topo *topology.Topology, k domainKey) [][]*Domain {
+	hier := make([][]*Domain, topo.NumCores())
+	k.online.ForEach(func(c topology.CoreID) {
+		hier[c] = buildDomains(topo, k, c)
+	})
+	// The balance masks compare the per-core views of a group, so they
+	// need every core's list in place and are filled in a second pass.
+	for _, doms := range hier {
+		for _, d := range doms {
+			if d.local >= 0 {
+				d.localMask = groupBalanceMask(hier, d.Groups[d.local], d.Name)
 			}
 		}
-		if s.domainCache == nil {
-			s.domainCache = map[domainKey][][]*Domain{}
-		}
-		s.domainCache[key] = hier
 	}
-	s.counters.DomainRebuilds++
-	s.probeDomainsCheck()
+	return hier
 }
 
-// buildDomainsFor constructs the bottom-up domain list for one core under
-// the configured construction flags.
-func (s *Scheduler) buildDomainsFor(cpu topology.CoreID, includeNUMA bool) []*Domain {
-	return s.buildDomainsWith(cpu, includeNUMA, s.cfg.Features.FixGroupConstruction)
+// groupBalanceMask restricts designation candidates to the cores whose own
+// per-core view of this domain level has exactly this local group — the
+// kernel's group_balance_mask. With overlapping NUMA groups, a core of
+// group G that builds a different local group from its own perspective
+// would balance a different instance; counting it here would leave G's
+// instance permanently unbalanced.
+func groupBalanceMask(hier [][]*Domain, g CPUSet, levelName string) CPUSet {
+	var mask CPUSet
+	g.ForEach(func(id topology.CoreID) {
+		for _, od := range hier[id] {
+			if od.Name != levelName {
+				continue
+			}
+			if ogi := od.local; ogi >= 0 && od.Groups[ogi].Equal(g) {
+				mask.Set(id)
+			}
+			return
+		}
+	})
+	if mask.Empty() {
+		return g
+	}
+	return mask
 }
 
-// buildDomainsWith constructs the bottom-up domain list for one core with
-// the construction flags given explicitly, so the divergence probe can
-// build the hierarchy an alternative fix set would have produced.
-func (s *Scheduler) buildDomainsWith(cpu topology.CoreID, includeNUMA, gcFixed bool) []*Domain {
-	topo := s.topo
+// buildDomains constructs the bottom-up domain list of one online core.
+func buildDomains(topo *topology.Topology, k domainKey, cpu topology.CoreID) []*Domain {
 	var domains []*Domain
 	level := 0
-	interval := s.cfg.BalanceInterval
-
-	online := s.onlineSet()
+	interval := k.interval
+	online := k.online
 
 	// SMT level: the pair of hardware siblings, groups = single cores.
 	if sib, ok := topo.SMTSibling(cpu); ok {
@@ -196,7 +284,7 @@ func (s *Scheduler) buildDomainsWith(cpu topology.CoreID, includeNUMA, gcFixed b
 		}
 	}
 
-	if !includeNUMA || topo.NumNodes() == 1 {
+	if !k.includeNUMA || topo.NumNodes() == 1 {
 		for _, d := range domains {
 			d.local = d.localGroup(cpu)
 		}
@@ -225,7 +313,7 @@ func (s *Scheduler) buildDomainsWith(cpu topology.CoreID, includeNUMA, gcFixed b
 			Span:     span,
 			Interval: interval,
 		}
-		d.Groups = s.buildNUMAGroups(span, node, h, gcFixed)
+		d.Groups = buildNUMAGroups(topo, span, node, h, k.gcFixed)
 		domains = append(domains, d)
 		level++
 		interval *= 2
@@ -247,8 +335,7 @@ func (s *Scheduler) buildDomainsWith(cpu topology.CoreID, includeNUMA, gcFixed b
 // and two-hop-apart nodes (1 and 2 on our machine) appear together in
 // every group. Fixed construction starts from the balancing core's own
 // node.
-func (s *Scheduler) buildNUMAGroups(span CPUSet, selfNode topology.NodeID, h int, gcFixed bool) []CPUSet {
-	topo := s.topo
+func buildNUMAGroups(topo *topology.Topology, span CPUSet, selfNode topology.NodeID, h int, gcFixed bool) []CPUSet {
 	// Nodes present in the span, ascending.
 	var nodes []topology.NodeID
 	seen := map[topology.NodeID]bool{}

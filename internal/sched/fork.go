@@ -25,11 +25,13 @@ func (s *Scheduler) GroupByID(id int) *TaskGroup { return s.groups[id] }
 // groups, runqueues, the idle list, balance bookkeeping and counters are
 // all copied; pending tick and resched events are re-registered on eng at
 // their original (time, sequence) positions, so the clone's event queue
-// pops in source order. Domain hierarchies are shared (immutable after
-// construction). Hooks are reset to no-ops — the caller wires the cloned
-// machine in — and the latency probe, divergence probe and decision
-// sinks start unset (a counterfactual replay attaches fresh ones, so the
-// two worlds' evidence streams stay independent).
+// pops in source order. Domain hierarchies are not copied: they live in
+// the process-wide intern table (domains.go), immutable once built, and
+// the clone points at the same per-core lists. Hooks are reset to
+// no-ops — the caller wires the cloned machine in — and the latency
+// probe, divergence probe and decision sinks start unset (a
+// counterfactual replay attaches fresh ones, so the two worlds' evidence
+// streams stay independent).
 //
 // A placement policy, and any sink but a provenance ring (a trace
 // recorder, metrics: one whole-run view a fork would split), cannot be
@@ -66,26 +68,40 @@ func (s *Scheduler) Clone(eng *sim.Engine) *Scheduler {
 		loadGen:        s.loadGen,
 	}
 
+	// Groups, threads, cores and the cores' balance schedules are each
+	// copied into one backing array: a fork is used and dropped as a
+	// unit, and explain forks a world per replay.
+	groups := make([]TaskGroup, len(s.groups))
 	ns.groups = make([]*TaskGroup, len(s.groups))
 	for i, g := range s.groups {
-		cg := *g
-		ns.groups[i] = &cg
+		groups[i] = *g
+		ns.groups[i] = &groups[i]
 	}
 	ns.rootGroup = ns.groups[s.rootGroup.id]
 
+	threads := make([]Thread, len(s.threads))
 	ns.threads = make([]*Thread, len(s.threads))
 	for i, t := range s.threads {
-		ct := *t
+		ct := &threads[i]
+		*ct = *t
 		ct.group = ns.groups[t.group.id]
 		// Runqueue membership is rebuilt below, per CPU.
 		ct.onRQ = rqHandle{}
 		ct.queued = false
-		ns.threads[i] = &ct
+		ns.threads[i] = ct
 	}
 
+	levels := 0
+	for _, c := range s.cpus {
+		levels += len(c.nextBalance)
+	}
+	nextBalance := make([]sim.Time, 0, levels)
+	balanceFailed := make([]int, 0, levels)
+	cpus := make([]CPU, len(s.cpus))
 	ns.cpus = make([]*CPU, len(s.cpus))
 	for i, c := range s.cpus {
-		nc := &CPU{
+		nc := &cpus[i]
+		*nc = CPU{
 			id:             c.id,
 			rq:             newCFSRQ(),
 			online:         c.online,
@@ -95,7 +111,7 @@ func (s *Scheduler) Clone(eng *sim.Engine) *Scheduler {
 			idleNext:       c.idleNext,
 			inIdle:         c.inIdle,
 			tickless:       c.tickless,
-			domains:        c.domains, // immutable after construction
+			domains:        c.domains, // interned, immutable
 			pinnedFailure:  c.pinnedFailure,
 			reschedPending: c.reschedPending,
 			occIdle:        c.occIdle,
@@ -115,8 +131,13 @@ func (s *Scheduler) Clone(eng *sim.Engine) *Scheduler {
 		})
 		nc.rq.queuedWt = c.rq.queuedWt
 		nc.rq.minVruntime = c.rq.minVruntime
-		nc.nextBalance = append([]sim.Time(nil), c.nextBalance...)
-		nc.balanceFailed = append([]int(nil), c.balanceFailed...)
+		// Capped slices: a core whose hierarchy deepens reallocates
+		// instead of growing into its neighbour's entries.
+		lo, hi := len(nextBalance), len(nextBalance)+len(c.nextBalance)
+		nextBalance = append(nextBalance, c.nextBalance...)
+		balanceFailed = append(balanceFailed, c.balanceFailed...)
+		nc.nextBalance = nextBalance[lo:hi:hi]
+		nc.balanceFailed = balanceFailed[lo:hi:hi]
 		nc.tickTm = eng.NewTimer(func() { ns.tick(nc) })
 		nc.tickTm.RestoreFrom(c.tickTm)
 		nc.reschedTm = eng.NewTimer(func() { ns.reschedFire(nc) })
@@ -124,59 +145,36 @@ func (s *Scheduler) Clone(eng *sim.Engine) *Scheduler {
 		ns.cpus[i] = nc
 	}
 
-	if s.domainCache != nil {
-		ns.domainCache = make(map[domainKey][][]*Domain, len(s.domainCache))
-		for k, v := range s.domainCache {
-			ns.domainCache[k] = v
-		}
-	}
 	return ns
 }
 
 // ApplyFeatures switches the fix set of a (typically just-cloned)
-// scheduler and rebuilds the domain hierarchy under the new flags. The
-// domain cache is dropped first: the construction-perspective flag is not
-// part of the cache key, so a stale entry built under the old flags would
-// otherwise be returned as a hit. The rebuild counter is restored so the
+// scheduler and points every core at the hierarchy the new construction
+// flags give, looked up in the intern table: a key seen before — by any
+// scheduler in the process — costs a map lookup, not a rebuild. The
+// switch is not a rebuild, so DomainRebuilds is left alone and the
 // clone's counters match a scheduler constructed with f from the start —
 // the property the bisect fork path's byte-identity rests on.
 //
-// Rebuilding resets every core's periodic-balance schedule, which is
+// A rebuild resets every core's periodic-balance schedule, which is
 // right when the hierarchy changed (the old levels no longer exist) but
 // would be a pure perturbation for fixes that leave construction alone
 // (group imbalance, overload-on-wakeup): a counterfactual replay's
 // divergence from its control must come from the fix's decisions, not
-// from a rescheduled balance pass. Cores whose hierarchy the rebuild
-// reproduced identically therefore keep their pre-rebuild schedules —
-// also what makes a mid-run fork + ApplyFeatures byte-identical to a
-// fresh run with the fix, when the fix had not fired by the fork instant.
-// Flags that construction never reads (group imbalance,
-// overload-on-wakeup) are therefore switched without a rebuild: it
-// would reproduce every core's hierarchy and restore every schedule.
+// from a rescheduled balance pass. Cores whose list the new flags
+// reproduce (the same pointers, or a structurally equal list under
+// another key) therefore keep their schedules — also what makes a
+// mid-run fork + ApplyFeatures byte-identical to a fresh run with the
+// fix, when the fix had not fired by the fork instant. Flags that
+// construction never reads (group imbalance, overload-on-wakeup) are
+// switched without touching the hierarchy at all.
 func (s *Scheduler) ApplyFeatures(f Features) {
-	if f.FixGroupConstruction == s.cfg.Features.FixGroupConstruction &&
-		f.FixMissingDomains == s.cfg.Features.FixMissingDomains {
-		s.cfg.Features = f
-		return
-	}
-	oldDomains := make([][]*Domain, len(s.cpus))
-	oldNext := make([][]sim.Time, len(s.cpus))
-	oldFailed := make([][]int, len(s.cpus))
-	for i, c := range s.cpus {
-		oldDomains[i] = c.domains
-		oldNext[i] = append([]sim.Time(nil), c.nextBalance...)
-		oldFailed[i] = append([]int(nil), c.balanceFailed...)
-	}
+	construction := f.FixGroupConstruction != s.cfg.Features.FixGroupConstruction ||
+		f.FixMissingDomains != s.cfg.Features.FixMissingDomains
 	s.cfg.Features = f
-	pre := s.counters.DomainRebuilds
-	s.domainCache = nil
-	s.rebuildDomains()
-	s.counters.DomainRebuilds = pre
-	for i, c := range s.cpus {
-		if len(oldNext[i]) == len(c.nextBalance) && domainsEqual(oldDomains[i], c.domains) {
-			copy(c.nextBalance, oldNext[i])
-			copy(c.balanceFailed, oldFailed[i])
-		}
+	if construction {
+		s.installDomains(true)
+		s.probeDomainsCheck()
 	}
 }
 
@@ -225,7 +223,7 @@ func (s *Scheduler) probeDomainsCheck() {
 	if p == nil {
 		return
 	}
-	includeNUMA := !s.domainsBroken || s.cfg.Features.FixMissingDomains
+	includeNUMA := s.includeNUMA()
 	if p.Armed.FixGroupConstruction && !p.Fired.FixGroupConstruction {
 		if !s.hierarchyMatches(includeNUMA, !s.cfg.Features.FixGroupConstruction) {
 			p.Fired.FixGroupConstruction = true
@@ -239,16 +237,13 @@ func (s *Scheduler) probeDomainsCheck() {
 	}
 }
 
-// hierarchyMatches reports whether rebuilding every online core's domain
-// list under the given construction parameters would reproduce the
-// current hierarchy. Pure: it builds fresh candidate hierarchies and
-// compares structure, leaving the scheduler untouched.
+// hierarchyMatches reports whether the hierarchy of the given
+// construction parameters, taken from the intern table, reproduces every
+// online core's current domain list. Pure: the scheduler is untouched.
 func (s *Scheduler) hierarchyMatches(includeNUMA, gcFixed bool) bool {
+	alt := s.hierarchy(includeNUMA, gcFixed)
 	for _, c := range s.cpus {
-		if !c.online {
-			continue
-		}
-		if !domainsEqual(c.domains, s.buildDomainsWith(c.id, includeNUMA, gcFixed)) {
+		if c.online && !domainsEqual(c.domains, alt[c.id]) {
 			return false
 		}
 	}
@@ -257,13 +252,19 @@ func (s *Scheduler) hierarchyMatches(includeNUMA, gcFixed bool) bool {
 
 // domainsEqual compares two per-core hierarchies structurally, including
 // group order — pickBusiestGroup breaks metric ties by first-seen, so a
-// reordered group list is an observable difference.
+// reordered group list is an observable difference. Lists of one
+// interned key share their Domain pointers and compare in one step; the
+// structural compare stays for lists of different keys that happen to
+// build alike (a flag that changes no level on this machine).
 func domainsEqual(a, b []*Domain) bool {
 	if len(a) != len(b) {
 		return false
 	}
 	for i := range a {
 		da, db := a[i], b[i]
+		if da == db {
+			continue
+		}
 		if da.Level != db.Level || da.Name != db.Name || !da.Span.Equal(db.Span) {
 			return false
 		}

@@ -34,6 +34,7 @@ type Topology struct {
 	clockGHz     float64
 	memoryGB     int
 	interconnect string
+	shape        string
 }
 
 // Spec carries the raw description consumed by New. Adjacency lists the
@@ -150,11 +151,18 @@ func New(spec Spec) (*Topology, error) {
 			t.coresWithin[src][h] = cores
 		}
 	}
+	t.shape = fmt.Sprintf("%dx%d smt=%t hops=%v", n, spec.CoresPerNode, spec.SMT, t.hops)
 	return t, nil
 }
 
 // Name returns the human-readable machine name.
 func (t *Topology) Name() string { return t.name }
+
+// Shape identifies the machine's structure: node count, cores per node,
+// SMT pairing and the hop matrix — everything but the descriptive name
+// and hardware figures. Two topologies with equal shapes answer every
+// structural query (NodeOf, SMTSibling, Hops, CoresWithin, ...) alike.
+func (t *Topology) Shape() string { return t.shape }
 
 // NumCores reports the number of logical CPUs.
 func (t *Topology) NumCores() int { return t.numCores }
